@@ -112,10 +112,14 @@
 //
 // The ingest hot path is batched end to end. Estimator.UpdateBatch routes
 // a whole slice of edges at once — one pass over the flat vertex→partition
-// router groups the batch by destination partition, then each partition's
-// synopsis absorbs its group in a single call. Within a partition the
-// stream order is preserved, so batched counters are byte-identical to
-// per-edge Update. Populate uses this path automatically.
+// router and one stable counting sort group the batch by destination
+// partition in flat buffers, then each touched partition's synopsis
+// absorbs its group in a single call. Within a partition the stream order
+// is preserved, so batched counters are byte-identical to per-edge Update,
+// conservative update included. Every per-partition step visits only the
+// partitions the batch touched, so a batch costs time in proportion to its
+// size rather than to the partition count. EstimateBatch groups queries
+// with the same routine. Populate uses this path automatically.
 //
 // For concurrent writers, wrap the sketch in NewConcurrent: because the
 // router is immutable after construction, each partition (plus the outlier
@@ -130,13 +134,15 @@
 //	_ = ing.PushBatch(edges) // from any number of goroutines; blocks when full
 //	_ = ing.Close()          // flush, drain, stop workers
 //
-// Throughput note: on a single core the batched sharded path sustains
-// roughly twice the edges/sec of per-edge updates behind a single mutex
-// (lock amortization plus partition-local cache residency); with multiple
-// cores the sharded writers scale further because batches touching
-// disjoint partitions never contend. `gsketch-bench -ingest` measures all
-// three paths and writes a machine-readable BENCH_ingest.json;
-// `gsketch-bench -query` is its read-side mirror, writing BENCH_query.json.
+// Throughput note: on a 2-vCPU Intel Xeon VM (GOMAXPROCS 2, Go 1.24.0),
+// ten alternating before/after pairs of the ingest-wire benchmark
+// (`bash gsbench/run.sh --workload ingest-wire --seconds 30 --trace 0`)
+// put the flat touched-partition grouping and the inlined CountMin kernel
+// at a median 8.16M edges/s against 5.59M before, +46%, with identical
+// accuracy. `go test -bench Kernel ./internal/core` times the write and
+// read kernels alone at the pipeline's shape; `gsketch-bench -ingest` and
+// `gsketch-bench -query` still compare the per-edge, batch and sharded
+// paths and write BENCH_ingest.json and BENCH_query.json.
 //
 // # Serving and the workload-capture loop
 //

@@ -99,24 +99,22 @@ func (c *Concurrent) UpdateBatch(edges []stream.Edge) {
 		return
 	}
 	sc := c.pool.Get().(*scatter)
-	total := sc.route(c.g, edges)
-	// Walk stripe by stripe so each lock is acquired at most once per
-	// batch, covering every touched partition it guards.
-	for st := range c.stripes {
-		locked := false
-		for shard := st; shard < len(sc.keys); shard += len(c.stripes) {
-			if len(sc.keys[shard]) == 0 {
-				continue
+	total := sc.route(c.g, edges, len(c.stripes))
+	// The touched shards come stripe-major, so each stripe lock is taken
+	// at most once per batch and covers every touched partition it guards.
+	held := -1
+	for _, s := range sc.touched {
+		if st := c.stripeOf(int(s)); st != held {
+			if held >= 0 {
+				c.stripes[held].Unlock()
 			}
-			if !locked {
-				c.stripes[st].Lock()
-				locked = true
-			}
-			c.g.shardSynopsis(shard).UpdateBatch(sc.keys[shard], sc.counts[shard])
+			held = st
+			c.stripes[held].Lock()
 		}
-		if locked {
-			c.stripes[st].Unlock()
-		}
+		sc.applyShard(c.g, s)
+	}
+	if held >= 0 {
+		c.stripes[held].Unlock()
 	}
 	c.pool.Put(sc)
 	c.g.addTotal(total)

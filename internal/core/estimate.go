@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/stream"
 )
 
@@ -57,92 +56,52 @@ type shardMeta struct {
 	bound     float64
 }
 
-// gather holds one routed query chunk in group-major flat layout: a
-// counting sort over the per-position shard indices places every shard's
-// edge keys contiguously in grouped, estimates land in vals at the same
-// offsets, and the per-shard Result metadata sits in meta. All buffers are
-// reused across chunks so steady-state batch querying allocates only the
-// caller-visible []Result. Results are assembled by a sequential sweep over
-// shardOf rather than scattered writes through saved positions — streaming
-// 48-byte stores beat read-for-ownership misses on a strided scatter.
+// gather is the read path's routed query chunk: the shared grouping plus
+// the estimates, which land in vals at the grouped keys' offsets, and the
+// per-shard Result metadata in meta. All buffers are reused across chunks
+// so steady-state batch querying allocates only the caller-visible
+// []Result. Results are assembled by a sequential sweep over the chunk's
+// positions, each reading its estimate through its grouped slot —
+// streaming 48-byte stores beat read-for-ownership misses on a strided
+// scatter.
 type gather struct {
-	shardOf  []int32  // answering shard per chunk position
-	flatKeys []uint64 // edge key per chunk position (input order)
-	grouped  []uint64 // edge keys regrouped shard-major
-	vals     []int64  // estimates aligned with grouped
-	start    []int32  // per-shard group offset into grouped/vals
-	count    []int32  // per-shard group length
-	cursor   []int32  // per-shard consumption cursor (assemble scratch)
-	meta     []shardMeta
+	groups
+	vals []int64 // estimates aligned with grouped
+	meta []shardMeta
 }
 
 func newGather(shards int) *gather {
-	return &gather{
-		start:  make([]int32, shards),
-		count:  make([]int32, shards),
-		cursor: make([]int32, shards),
-		meta:   make([]shardMeta, shards),
-	}
+	return &gather{groups: newGroups(shards), meta: make([]shardMeta, shards)}
 }
 
-// route groups a query chunk by answering shard: one routing pass records
-// each position's shard and edge key, a prefix sum lays out the groups, and
-// a placement pass writes the keys group-major. Only the immutable router
-// is read, so route is safe concurrently with shard-local counter writes —
-// the same property the write-side scatter builds on.
-func (gt *gather) route(g *GSketch, qs []EdgeQuery) {
-	n := len(qs)
-	if cap(gt.shardOf) < n {
-		gt.shardOf = make([]int32, n)
-		gt.flatKeys = make([]uint64, n)
-		gt.grouped = make([]uint64, n)
-		gt.vals = make([]int64, n)
-	}
-	gt.shardOf = gt.shardOf[:n]
-	gt.flatKeys = gt.flatKeys[:n]
-	gt.grouped = gt.grouped[:n]
-	gt.vals = gt.vals[:n]
-	for i := range gt.count {
-		gt.count[i] = 0
-	}
+// route groups a query chunk by answering shard, stripe-major for the
+// given lock-stripe count (1 when the caller takes no locks). Only the
+// immutable router is read, so route is safe concurrently with
+// shard-local counter writes.
+func (gt *gather) route(g *GSketch, qs []EdgeQuery, stripes int) {
+	gt.reset(len(qs))
 	for i, q := range qs {
-		// One Mix64 of the source serves both the routing probe and the
-		// edge-key derivation.
-		mixed := hashutil.Mix64(q.Src)
-		shard := g.routeMixed(mixed, q.Src)
-		gt.shardOf[i] = int32(shard)
-		gt.flatKeys[i] = hashutil.EdgeKeyMixed(mixed, q.Dst)
-		gt.count[shard]++
+		gt.add(g, i, q.Src, q.Dst)
 	}
-	off := int32(0)
-	for s, c := range gt.count {
-		gt.start[s] = off
-		gt.cursor[s] = off
-		off += c
+	gt.layout(stripes)
+	if cap(gt.vals) < len(qs) {
+		gt.vals = make([]int64, len(qs))
 	}
-	for i, k := range gt.flatKeys {
-		sh := gt.shardOf[i]
-		gt.grouped[gt.cursor[sh]] = k
-		gt.cursor[sh]++
-	}
-	for shard := range gt.count {
-		addShardHits(g.readHits, shard, int64(gt.count[shard]))
-	}
+	gt.vals = gt.vals[:len(qs)]
+	gt.recordHits(g.readHits)
 }
 
-// gatherShard answers one shard's group in a single pass over its synopsis
-// and records the group's shared Result metadata — answering partition and
-// ε·N_i bound, read in the same critical section as the counters so the
-// pair is one consistent snapshot. The caller owns synchronization; the
-// assemble pass that fans results back out runs lock-free afterwards.
-func (gt *gather) gatherShard(g *GSketch, shard int) {
-	cnt := gt.count[shard]
-	if cnt == 0 {
-		return
-	}
-	lo := gt.start[shard]
+// gatherShard answers one touched shard's group in a single pass over its
+// synopsis and records the group's shared Result metadata — answering
+// partition and ε·N_i bound, read in the same critical section as the
+// counters so the pair is one consistent snapshot. The caller owns
+// synchronization; the assemble pass that fans results back out runs
+// lock-free afterwards.
+func (gt *gather) gatherShard(g *GSketch, s int32) {
+	lo, hi := gt.group(s)
+	shard := int(s)
 	syn := g.shardSynopsis(shard)
-	syn.EstimateBatch(gt.grouped[lo:lo+cnt], gt.vals[lo:lo+cnt])
+	syn.EstimateBatch(gt.grouped[lo:hi], gt.vals[lo:hi])
 
 	part, outlier, width := shard, false, 0
 	if g.outlier != nil && shard == len(g.parts) {
@@ -158,18 +117,15 @@ func (gt *gather) gatherShard(g *GSketch, shard int) {
 }
 
 // assemble fans the gathered estimates back out to input order with one
-// sequential sweep: position i's shard comes from shardOf, its estimate
-// from that shard's next unconsumed slot in the flat vals layout. out must
-// be the chunk's slice of the caller-visible results.
+// sequential sweep: position i's metadata comes from its shard, its
+// estimate from its grouped slot. out must be the chunk's slice of the
+// caller-visible results.
 func (gt *gather) assemble(out []Result, conf float64, streamTotal int64) {
-	copy(gt.cursor, gt.start)
-	vals := gt.vals
+	vals, pos := gt.vals, gt.pos
 	for i, sh := range gt.shardOf {
-		k := gt.cursor[sh]
-		gt.cursor[sh] = k + 1
 		m := &gt.meta[sh]
 		out[i] = Result{
-			Estimate:    vals[k],
+			Estimate:    vals[pos[i]],
 			Partition:   m.partition,
 			Outlier:     m.outlier,
 			ErrorBound:  m.bound,
@@ -209,8 +165,8 @@ func (g *GSketch) EstimateBatch(qs []EdgeQuery) []Result {
 		if hi > len(qs) {
 			hi = len(qs)
 		}
-		gt.route(g, qs[lo:hi])
-		for shard := range gt.count {
+		gt.route(g, qs[lo:hi], 1)
+		for _, shard := range gt.touched {
 			gt.gatherShard(g, shard)
 		}
 		gt.assemble(out[lo:hi], conf, total)
@@ -275,29 +231,27 @@ func (c *Concurrent) EstimateBatch(qs []EdgeQuery) []Result {
 		if hi > len(qs) {
 			hi = len(qs)
 		}
-		gt.route(c.g, qs[lo:hi])
-		// Walk stripe by stripe, mirroring UpdateBatch: each stripe lock is
-		// acquired at most once per chunk and covers every touched
-		// partition it guards, so lock traffic is bounded by
+		gt.route(c.g, qs[lo:hi], len(c.stripes))
+		// Walk the stripe-major touched shards, mirroring UpdateBatch: each
+		// stripe lock is read-acquired at most once per chunk and covers
+		// every touched partition it guards, so lock traffic is bounded by
 		// stripes × ⌈batch/estimateChunk⌉ instead of one acquisition per
 		// query. Each group's counters and local volume N_i are read in one
 		// critical section; the assemble fan-out below runs lock-free over
 		// the gathered private buffers.
-		for st := range c.stripes {
-			locked := false
-			for shard := st; shard < len(gt.count); shard += len(c.stripes) {
-				if gt.count[shard] == 0 {
-					continue
+		held := -1
+		for _, shard := range gt.touched {
+			if st := c.stripeOf(int(shard)); st != held {
+				if held >= 0 {
+					c.stripes[held].RUnlock()
 				}
-				if !locked {
-					c.stripes[st].RLock()
-					locked = true
-				}
-				gt.gatherShard(c.g, shard)
+				held = st
+				c.stripes[held].RLock()
 			}
-			if locked {
-				c.stripes[st].RUnlock()
-			}
+			gt.gatherShard(c.g, shard)
+		}
+		if held >= 0 {
+			c.stripes[held].RUnlock()
 		}
 		gt.assemble(out[lo:hi], conf, total)
 	}

@@ -233,10 +233,10 @@ func (g *GSketch) Update(e stream.Edge) {
 
 // UpdateBatch folds a batch of edge arrivals via route-then-scatter: the
 // batch is first grouped by destination shard (touching only the flat
-// router), then each shard's synopsis absorbs its group in one UpdateBatch
-// call. Within a shard the stream order is preserved, so the resulting
-// counters are byte-identical to sequential Update — partitions are
-// independent, so cross-shard reordering is unobservable.
+// router), then each touched shard's synopsis absorbs its group in one
+// UpdateBatch call. Within a shard the stream order is preserved, so the
+// resulting counters are byte-identical to sequential Update — partitions
+// are independent, so cross-shard reordering is unobservable.
 func (g *GSketch) UpdateBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
@@ -246,8 +246,10 @@ func (g *GSketch) UpdateBatch(edges []stream.Edge) {
 		sc = newScatter(g.NumShards())
 		g.scratch = sc
 	}
-	total := sc.route(g, edges)
-	sc.apply(g)
+	total := sc.route(g, edges, 1)
+	for _, s := range sc.touched {
+		sc.applyShard(g, s)
+	}
 	g.total.Add(total)
 }
 

@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// raceEnabled is set in race-detector builds, where sync.Pool drops items
+// at random and allocation counts stop being deterministic.
+const raceEnabled = true

@@ -213,7 +213,7 @@ func assertPanics(t *testing.T, name string, fn func()) {
 
 // TestHashReducedMatchesHash pins the batch-gather decomposition: the
 // hoisted key reduction and the hand-inlined (a·xr + b) arithmetic used by
-// sketch.EstimateBatch must reproduce Hash exactly for every key.
+// the CountMin batch loops must reproduce Hash exactly for every key.
 func TestHashReducedMatchesHash(t *testing.T) {
 	fam := NewPairwiseFamily(5, 3277, 99)
 	rng := NewRNG(100)
@@ -229,10 +229,11 @@ func TestHashReducedMatchesHash(t *testing.T) {
 			if got := h.HashReduced(xr); got != want {
 				t.Fatalf("HashReduced(Mod61(%#x)) = %d, Hash = %d", x, got, want)
 			}
-			// The fully decomposed form countmin.EstimateBatch inlines.
+			// The decomposed form the CountMin batch loops inline: a·xr
+			// folded once at bit 61, then a single reduction.
 			a, b := h.Params()
 			hi, lo := bits.Mul64(a, xr)
-			v := Mod61(Mod61(hi<<3) + Mod61(lo) + b)
+			v := Mod61((hi<<3 | lo>>61) + lo&MersennePrime61 + b)
 			vhi, vlo := bits.Mul64(v, uint64(h.Width()))
 			if got := int(vhi<<3 | vlo>>61); got != want {
 				t.Fatalf("decomposed hash of %#x = %d, Hash = %d", x, got, want)

@@ -14,7 +14,9 @@ import (
 // TestIngestAllocsPerEdge is the regression guard for the pooled hot
 // path: a warm server must not allocate parse or batch buffers per
 // request, so the per-edge allocation count stays flat. NDJSON pays
-// encoding/json's per-line cost; the wire path must be near zero.
+// encoding/json's per-line cost; the wire path must be near zero. Under
+// the race detector the requests still run but the bounds are not
+// asserted.
 func TestIngestAllocsPerEdge(t *testing.T) {
 	const n = 2048
 	edges := testStream(n, 31)
@@ -45,6 +47,12 @@ func TestIngestAllocsPerEdge(t *testing.T) {
 	ndjsonPerEdge := testing.AllocsPerRun(10, func() { post("application/x-ndjson", ndjson) }) / n
 	wirePerEdge := testing.AllocsPerRun(10, func() { post(wire.ContentType, wireBody) }) / n
 	t.Logf("allocs/edge: ndjson=%.3f wire=%.4f", ndjsonPerEdge, wirePerEdge)
+	if raceEnabled {
+		// The race detector makes sync.Pool drop pooled buffers at random,
+		// so the counts above are not deterministic; the bounds hold for
+		// the normal build only.
+		return
+	}
 
 	// NDJSON: json.Unmarshal costs ~5 allocs per line with pooled scan and
 	// batch buffers; anything beyond 7 means a buffer stopped being pooled.

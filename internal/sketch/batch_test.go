@@ -125,3 +125,41 @@ func TestCountMinUpdateBatchNegativePanics(t *testing.T) {
 	}()
 	cm.UpdateBatch([]uint64{1}, []int64{-1})
 }
+
+// TestRowHashMatchesPairwiseHash pins the inlined batch-loop row hash to
+// PairwiseHash.Hash, the per-key Update path's hash, over random and
+// boundary keys and widths on both sides of a power of two.
+func TestRowHashMatchesPairwiseHash(t *testing.T) {
+	rng := hashutil.NewRNG(41)
+	keys := []uint64{0, 1, hashutil.MersennePrime61 - 1, hashutil.MersennePrime61, hashutil.MersennePrime61 + 1, 1<<63 - 1, 1 << 63, ^uint64(0)}
+	for i := 0; i < 5000; i++ {
+		keys = append(keys, rng.Uint64())
+	}
+	for _, width := range []int{1, 7, 64, 1000, 1 << 16, 104857} {
+		cm, err := NewCountMin(width, 5, uint64(width))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, h := range cm.hashes {
+			for _, k := range keys {
+				if got, want := cm.rows[r].col(hashutil.Mod61(k), uint64(width)), h.Hash(k); got != want {
+					t.Fatalf("width %d row %d key %#x: col %d, Hash %d", width, r, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCountMinUpdateBatchAllocs gates both CountMin batch modes at zero
+// allocations: conservative update once allocated its d row indices per
+// key.
+func TestCountMinUpdateBatchAllocs(t *testing.T) {
+	keys, counts := batchStream(1024, 43)
+	for _, conservative := range []bool{false, true} {
+		cm, _ := NewCountMin(512, 5, 3)
+		cm.SetConservative(conservative)
+		if n := testing.AllocsPerRun(20, func() { cm.UpdateBatch(keys, counts) }); n != 0 {
+			t.Errorf("conservative=%v: UpdateBatch allocates %.1f times per batch, want 0", conservative, n)
+		}
+	}
+}

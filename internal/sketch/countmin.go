@@ -22,8 +22,8 @@ type CountMin struct {
 	conservative bool
 
 	hashes []hashutil.PairwiseHash
-	rows   []gatherRow // flattened hash coefficients for EstimateBatch (immutable)
-	cells  []uint32    // row-major: cells[row*width + col]
+	rows   []rowHash // flattened hash coefficients for the batch loops (immutable)
+	cells  []uint32  // row-major: cells[row*width + col]
 	total  int64
 }
 
@@ -41,10 +41,10 @@ func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
 		hashes: hashutil.NewPairwiseFamily(depth, width, seed),
 		cells:  make([]uint32, width*depth),
 	}
-	// Flattened hash coefficients for EstimateBatch, built eagerly: the
-	// gather runs under read locks from multiple goroutines, so it must
-	// not initialize shared state lazily.
-	cm.rows = make([]gatherRow, depth)
+	// Flattened hash coefficients for the batch loops, built eagerly:
+	// EstimateBatch runs under read locks from multiple goroutines, so it
+	// must not initialize shared state lazily.
+	cm.rows = make([]rowHash, depth)
 	for r, h := range cm.hashes {
 		cm.rows[r].a, cm.rows[r].b = h.Params()
 	}
@@ -104,7 +104,7 @@ func (cm *CountMin) Update(key uint64, count int64) {
 	}
 	cm.total += count
 	if cm.conservative {
-		cm.updateConservative(key, count)
+		cm.updateConservative(hashutil.Mod61(key), count)
 		return
 	}
 	for r := 0; r < cm.depth; r++ {
@@ -114,21 +114,16 @@ func (cm *CountMin) Update(key uint64, count int64) {
 }
 
 // UpdateBatch applies the batch in slice order, producing counters
-// byte-identical to the equivalent sequence of Update calls. The plain
-// (non-conservative) path hoists the field loads and the total
-// accumulation out of the per-key loop so interface dispatch and bounds
-// checks amortize across the batch.
+// byte-identical to the equivalent sequence of Update calls. It runs
+// key-major like EstimateBatch: each key is reduced modulo the hash prime
+// once and shared across the d row hashes, and the row hash is inlined
+// from the flattened (a, b) coefficients instead of d PairwiseHash.Hash
+// calls per key. Saturating addition of non-negative counts commutes, and
+// conservative update visits keys in slice order, so both modes land on
+// the counters of sequential Update.
 func (cm *CountMin) UpdateBatch(keys []uint64, counts []int64) {
 	if len(keys) != len(counts) {
 		panic("sketch: UpdateBatch slice length mismatch")
-	}
-	if cm.conservative {
-		// Conservative update reads its own cells back per key, so there is
-		// nothing to hoist; order still matches sequential Update exactly.
-		for i, key := range keys {
-			cm.Update(key, counts[i])
-		}
-		return
 	}
 	var total int64
 	for _, count := range counts {
@@ -137,46 +132,60 @@ func (cm *CountMin) UpdateBatch(keys []uint64, counts []int64) {
 		}
 		total += count
 	}
-	// Row-major application: one hash-family member and one row segment of
-	// cells stay hot across the whole batch. Saturating addition commutes,
-	// so the final counters equal those of key-major (sequential) order.
-	width, cells := cm.width, cm.cells
-	for r := range cm.hashes {
-		h := cm.hashes[r]
-		row := cells[r*width : (r+1)*width]
+	cm.total += total
+	if cm.conservative {
 		for i, key := range keys {
-			count := counts[i]
-			if count == 0 {
-				continue
+			if counts[i] != 0 {
+				cm.updateConservative(hashutil.Mod61(key), counts[i])
 			}
-			j := h.Hash(key)
-			row[j] = addSat32(row[j], count)
+		}
+		return
+	}
+	rows := cm.rows
+	width, cells := cm.width, cm.cells
+	w64 := uint64(width)
+	for i, key := range keys {
+		count := counts[i]
+		if count == 0 {
+			continue
+		}
+		xr := hashutil.Mod61(key)
+		base := 0
+		for _, p := range rows {
+			j := base + p.col(xr, w64)
+			cells[j] = addSat32(cells[j], count)
+			base += width
 		}
 	}
-	cm.total += total
 }
 
-func (cm *CountMin) updateConservative(key uint64, count int64) {
-	// New lower bound for the key is min(cells) + count; only cells below
-	// that bound are raised to it.
+// updateConservative raises the key's cells to its new lower bound
+// min(cells) + count, leaving cells already above it alone. xr is the key
+// reduced modulo the hash prime. The d cell indices are recomputed in the
+// second pass rather than kept in a per-key slice, so the conservative
+// path does not allocate.
+func (cm *CountMin) updateConservative(xr uint64, count int64) {
+	width, cells := cm.width, cm.cells
+	w64 := uint64(width)
 	min := int64(maxCell)
-	idx := make([]int, cm.depth)
-	for r := 0; r < cm.depth; r++ {
-		i := r*cm.width + cm.hashes[r].Hash(key)
-		idx[r] = i
-		if v := int64(cm.cells[i]); v < min {
+	base := 0
+	for _, p := range cm.rows {
+		if v := int64(cells[base+p.col(xr, w64)]); v < min {
 			min = v
 		}
+		base += width
 	}
 	target := min + count
-	for _, i := range idx {
-		if int64(cm.cells[i]) < target {
-			if target > maxCell {
-				cm.cells[i] = maxCell
-			} else {
-				cm.cells[i] = uint32(target)
-			}
+	if target > maxCell {
+		target = maxCell
+	}
+	base = 0
+	for _, p := range cm.rows {
+		j := base + p.col(xr, w64)
+		if int64(cells[j]) < target {
+			cells[j] = uint32(target)
 		}
+		base += width
 	}
 }
 
@@ -195,14 +204,12 @@ func (cm *CountMin) Estimate(key uint64) int64 {
 
 // EstimateBatch answers a batch of point queries key-major with the field
 // loads hoisted out of the loop and the running minimum kept in a register
-// — unlike UpdateBatch, the read path gains nothing from row-major order
-// (there is no row-segment write locality to exploit) and loses the
-// register-resident min to per-row out[i] traffic. Each key is reduced
-// modulo the hash prime once and shared across the d row hashes, and the
-// row-hash arithmetic is hand-inlined from the (a, b) coefficients —
-// PairwiseHash.Hash is past the inlining budget, and d calls per key were
-// the largest single cost of the batched read path. The values equal
-// per-key Estimate exactly (min over the same d cells).
+// — the read path gains nothing from row-major order (there is no
+// row-segment write locality to exploit) and loses the register-resident
+// min to per-row out[i] traffic. Each key is reduced modulo the hash prime
+// once and shared across the d row hashes, and the row hash is inlined
+// from the flattened coefficients (see rowHash). The values equal per-key
+// Estimate exactly (min over the same d cells).
 func (cm *CountMin) EstimateBatch(keys []uint64, out []int64) {
 	if len(keys) != len(out) {
 		panic("sketch: EstimateBatch slice length mismatch")
@@ -215,16 +222,7 @@ func (cm *CountMin) EstimateBatch(keys []uint64, out []int64) {
 		min := uint32(maxCell)
 		base := 0
 		for _, p := range rows {
-			// (a·xr + b) mod 2^61-1 via 2^64 ≡ 8: hi·8 cannot overflow
-			// (hi < 2^58) and the three reduced terms sum below 2^63, so a
-			// single final Mod61 lands on the same canonical residue as
-			// PairwiseHash.Hash. Spelled out here because the composed
-			// helper is past the inlining budget and a call per row per
-			// key dominates the gather.
-			hi, lo := bits.Mul64(p.a, xr)
-			v := hashutil.Mod61(hashutil.Mod61(hi<<3) + hashutil.Mod61(lo) + p.b)
-			vhi, vlo := bits.Mul64(v, w64)
-			if c := cells[base+int(vhi<<3|vlo>>61)]; c < min {
+			if c := cells[base+p.col(xr, w64)]; c < min {
 				min = c
 			}
 			base += width
@@ -233,11 +231,26 @@ func (cm *CountMin) EstimateBatch(keys []uint64, out []int64) {
 	}
 }
 
-// gatherRow is one row's hash coefficients, flattened out of PairwiseHash
-// for the hand-inlined gather loop. Built once in NewCountMin and
-// immutable afterwards, so concurrent readers share it freely.
-type gatherRow struct {
+// rowHash is one row's hash coefficients, flattened out of PairwiseHash
+// for the batch loops. Built once in NewCountMin and immutable afterwards,
+// so concurrent readers share it freely.
+type rowHash struct {
 	a, b uint64
+}
+
+// col maps a key already reduced modulo 2^61-1 onto the row's columns
+// [0, width), landing on the same column as PairwiseHash.Hash. a·xr =
+// hi·2^64 + lo folds to (a·xr >> 61) + (a·xr & p) because 2^61 ≡ 1; with
+// a, xr < 2^61 both terms and b are below 2^61, so one final Mod61 gives
+// the canonical residue of a·xr + b. The single reduction keeps col under
+// the inlining budget (PairwiseHash.Hash is past it, and a call per row
+// per key was the largest cost of both batch loops); the Lemire
+// multiply-shift onto the width is Hash's own.
+func (p rowHash) col(xr, w64 uint64) int {
+	hi, lo := bits.Mul64(p.a, xr)
+	v := hashutil.Mod61((hi<<3 | lo>>61) + lo&hashutil.MersennePrime61 + p.b)
+	vhi, vlo := bits.Mul64(v, w64)
+	return int(vhi<<3 | vlo>>61)
 }
 
 // Count returns the total stream volume added to this sketch.
