@@ -61,10 +61,6 @@
 // stops the adaptive loop, drains the pipeline, and (with
 // WithSnapshotOnClose) persists a final snapshot.
 //
-// The pre-Engine free functions (New, NewConcurrent, NewIngestor, Save,
-// Load, NewChain, ...) remain as thin deprecated shims that answer
-// byte-identically; see the migration table in README.md.
-//
 // # Querying
 //
 // The read path is batched and bound-carrying, mirroring the sharded
@@ -94,19 +90,17 @@
 //		gsketch.NodeQuery{Node: a, Out: []uint64{b, c}, Agg: gsketch.Max},
 //	})
 //
-// Under Concurrent, a batched read acquires each striped lock at most once
-// per internal chunk instead of once per query, and observes each
-// partition's counters and local volume in one consistent snapshot.
+// Under the engine's striped locks, a batched read acquires each stripe at
+// most once per internal chunk instead of once per query, and observes
+// each partition's counters and local volume in one consistent snapshot.
 // Windowed range queries batch the same way via EstimateWindowBatch (one
 // pass per overlapping window for the whole batch).
 //
-// Migration note: EstimateEdge(src, dst) remains on every estimator and is
-// unchanged — one call, one bare point estimate, one lock round-trip under
-// Concurrent. New code (and any loop over more than a handful of queries)
-// should call EstimateBatch or Answer instead: same estimates, byte for
-// byte, at better than 1.5× the throughput on a 16-partition sketch, plus
-// the per-answer guarantees. EstimateSubgraph is deprecated; it now
-// forwards to Answer and returns only the value.
+// EstimateEdge(src, dst) remains on every estimator — one call, one bare
+// point estimate, one lock round-trip. Any loop over more than a handful
+// of queries should call EstimateBatch or Answer instead: same estimates,
+// byte for byte, at better than 1.5× the throughput on a 16-partition
+// sketch, plus the per-answer guarantees.
 //
 // # Batched and parallel ingestion
 //
@@ -121,18 +115,18 @@
 // size rather than to the partition count. EstimateBatch groups queries
 // with the same routine. Populate uses this path automatically.
 //
-// For concurrent writers, wrap the sketch in NewConcurrent: because the
+// An Engine serves concurrent writers without a global lock: because the
 // router is immutable after construction, each partition (plus the outlier
-// sketch) is an independent update domain, and the wrapper shards its
+// sketch) is an independent update domain, and the engine shards its
 // locks by partition instead of serializing every writer behind one mutex.
-// NewIngestor adds a full pipeline on top — a bounded multi-producer queue
+// WithIngest adds a full pipeline on top — a bounded multi-producer queue
 // drained by N workers:
 //
-//	shared := gsketch.NewConcurrent(g)
-//	ing, err := gsketch.NewIngestor(shared, gsketch.IngestConfig{})
+//	eng, err := gsketch.Open(cfg, gsketch.WithSample(sample),
+//		gsketch.WithIngest(gsketch.IngestConfig{}))
 //	if err != nil { ... }
-//	_ = ing.PushBatch(edges) // from any number of goroutines; blocks when full
-//	_ = ing.Close()          // flush, drain, stop workers
+//	_ = eng.Ingest(ctx, edges...) // from any number of goroutines; blocks when full
+//	_ = eng.Close()               // drain the pipeline, stop workers
 //
 // Throughput note: on a 2-vCPU Intel Xeon VM (GOMAXPROCS 2, Go 1.24.0),
 // ten alternating before/after pairs of the ingest-wire benchmark
@@ -162,9 +156,9 @@
 //
 // # Adaptive repartitioning and generation bounds
 //
-// The recorded workload need not leave the process: a Chain plus
-// Repartition rebuild and hot-swap the partitioning online. The chain
-// keeps one live head sketch (absorbing all updates) and freezes each
+// The recorded workload need not leave the process: an adaptive engine
+// (WithAdaptive) rebuilds and hot-swaps the partitioning online over a
+// generation chain. The chain keeps one live head sketch (absorbing all updates) and freezes each
 // displaced generation; an edge's true frequency over the whole stream is
 // exactly the sum of its per-generation frequencies, which gives the
 // combination rule for answers gathered across a chain of k generations:

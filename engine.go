@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/graphstream/gsketch/internal/adapt"
+	"github.com/graphstream/gsketch/internal/atomicfile"
 	"github.com/graphstream/gsketch/internal/compact"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
@@ -129,8 +129,7 @@ type Engine struct {
 // generation chain with a drift-watching repartition manager,
 // WithWorkloadRecorder samples query traffic into the §4.2 workload
 // format, WithWindows mounts a time-windowed store, and WithSnapshotDir
-// gives Save/Restore a home. The zero-option Open(cfg, WithSample(s)) is
-// byte-identical to the classic New + NewConcurrent wiring.
+// gives Save/Restore a home.
 func Open(cfg Config, opts ...Option) (*Engine, error) {
 	o := engineOptions{now: time.Now}
 	for _, opt := range opts {
@@ -171,8 +170,6 @@ func Open(cfg Config, opts ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("gsketch: window store: %w", err)
 		}
 		e.win = win
-	} else if o.windowStore != nil {
-		e.win = o.windowStore
 	}
 
 	// The pipeline spawns worker goroutines, so it is built after every
@@ -546,7 +543,7 @@ func (e *Engine) WriteWorkloadTo(w io.Writer) (int64, error) {
 // container for an adaptive engine (every generation, oldest first), the
 // single-sketch format otherwise. The snapshot is taken under the striped
 // read locks, so a save racing live writers is still internally
-// consistent. Restore (or Load/LoadChain) reads it back.
+// consistent. Restore (or Open with WithRestore) reads it back.
 func (e *Engine) Save(w io.Writer) (int64, error) {
 	st := e.state()
 	if st.chain != nil {
@@ -556,9 +553,10 @@ func (e *Engine) Save(w io.Writer) (int64, error) {
 }
 
 // SaveSnapshot persists a snapshot to path (or the configured default when
-// path is empty) via tmp-file + rename, so a crash mid-save never clobbers
-// the previous snapshot. The ingest pipeline is flushed first: the
-// snapshot covers every edge accepted before the save began.
+// path is empty) via an fsynced tmp file renamed into place, so a crash
+// mid-save never clobbers the previous snapshot. The ingest pipeline is
+// flushed first: the snapshot covers every edge accepted before the save
+// began.
 func (e *Engine) SaveSnapshot(path string) (int64, error) {
 	if path == "" {
 		path = e.snapPath
@@ -571,25 +569,13 @@ func (e *Engine) SaveSnapshot(path string) (int64, error) {
 			return 0, err
 		}
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".gsketch-snap-*")
+	var n int64
+	err := atomicfile.Write(path, 0o600, func(w io.Writer) error {
+		var err error
+		n, err = e.Save(w)
+		return err
+	})
 	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name())
-	n, err := e.Save(tmp)
-	if err != nil {
-		tmp.Close()
-		return n, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return n, err
-	}
-	if err := tmp.Close(); err != nil {
-		return n, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return n, err
 	}
 	e.snapNanos.Store(e.opts.now().UnixNano())

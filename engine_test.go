@@ -7,11 +7,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/adapt"
+	"github.com/graphstream/gsketch/internal/core"
+	"github.com/graphstream/gsketch/internal/ingest"
 )
 
 // engineTestStream builds a deterministic skewed stream.
@@ -39,27 +43,27 @@ func engineTestQueries(edges []gsketch.Edge, n int) []gsketch.EdgeQuery {
 
 var engineTestCfg = gsketch.Config{TotalBytes: 64 << 10, Seed: 21}
 
-// TestOpenMatchesShimsByteIdentical is the shim-equivalence guard for the
-// partitioned path: the classic New + NewConcurrent + Populate + Save
-// wiring and the one-handle Open + Ingest + Save path must produce
-// byte-identical snapshots and byte-identical batched answers.
-func TestOpenMatchesShimsByteIdentical(t *testing.T) {
+// TestOpenMatchesCoreByteIdentical is the equivalence guard for the
+// partitioned path: the core primitives (BuildGSketch + NewConcurrent +
+// Populate + Save) and the one-handle Open + Ingest + Save path must
+// produce byte-identical snapshots and byte-identical batched answers.
+func TestOpenMatchesCoreByteIdentical(t *testing.T) {
 	edges := engineTestStream(20_000, 5)
 	sample := edges[:2_000]
 	qs := engineTestQueries(edges, 500)
 
-	// Classic shims (PR 1-4 surface).
-	g, err := gsketch.New(engineTestCfg, sample, nil)
+	// Core primitives.
+	g, err := core.BuildGSketch(engineTestCfg, sample, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim := gsketch.NewConcurrent(g)
-	gsketch.Populate(shim, edges)
-	var shimSnap bytes.Buffer
-	if _, err := gsketch.Save(shim, &shimSnap); err != nil {
+	ref := core.NewConcurrent(g)
+	core.Populate(ref, edges)
+	var refSnap bytes.Buffer
+	if _, err := core.Save(ref, &refSnap); err != nil {
 		t.Fatal(err)
 	}
-	shimRes := gsketch.EstimateBatch(shim, qs)
+	refRes := ref.EstimateBatch(qs)
 
 	// One-handle engine.
 	eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(sample))
@@ -74,39 +78,39 @@ func TestOpenMatchesShimsByteIdentical(t *testing.T) {
 	if _, err := eng.Save(&engSnap); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(shimSnap.Bytes(), engSnap.Bytes()) {
-		t.Fatalf("snapshot mismatch: shim %d bytes, engine %d bytes", shimSnap.Len(), engSnap.Len())
+	if !bytes.Equal(refSnap.Bytes(), engSnap.Bytes()) {
+		t.Fatalf("snapshot mismatch: core %d bytes, engine %d bytes", refSnap.Len(), engSnap.Len())
 	}
 	engRes := eng.QueryBatch(qs)
 	for i := range qs {
-		if shimRes[i] != engRes[i] {
-			t.Fatalf("query %d: shim %+v, engine %+v", i, shimRes[i], engRes[i])
+		if refRes[i] != engRes[i] {
+			t.Fatalf("query %d: core %+v, engine %+v", i, refRes[i], engRes[i])
 		}
 	}
 
-	// The deprecated Load shim reads the engine's snapshot.
-	loaded, err := gsketch.Load(bytes.NewReader(engSnap.Bytes()))
+	// The core reader loads the engine's snapshot.
+	loaded, err := core.ReadGSketch(bytes.NewReader(engSnap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range gsketch.EstimateBatch(loaded, qs) {
-		if r != shimRes[i] {
-			t.Fatalf("loaded query %d: %+v want %+v", i, r, shimRes[i])
+	for i, r := range loaded.EstimateBatch(qs) {
+		if r != refRes[i] {
+			t.Fatalf("loaded query %d: %+v want %+v", i, r, refRes[i])
 		}
 	}
 }
 
-// TestOpenGlobalMatchesShim pins the §3.2 baseline path.
-func TestOpenGlobalMatchesShim(t *testing.T) {
+// TestOpenGlobalMatchesCore pins the §3.2 baseline path.
+func TestOpenGlobalMatchesCore(t *testing.T) {
 	edges := engineTestStream(10_000, 7)
 	qs := engineTestQueries(edges, 200)
 
-	gl, err := gsketch.NewGlobal(engineTestCfg)
+	gl, err := core.BuildGlobalSketch(engineTestCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsketch.Populate(gl, edges)
-	want := gsketch.EstimateBatch(gl, qs)
+	core.Populate(gl, edges)
+	want := gl.EstimateBatch(qs)
 
 	eng, err := gsketch.Open(engineTestCfg, gsketch.WithGlobal())
 	if err != nil {
@@ -119,26 +123,26 @@ func TestOpenGlobalMatchesShim(t *testing.T) {
 	got := eng.QueryBatch(qs)
 	for i := range qs {
 		if want[i] != got[i] {
-			t.Fatalf("query %d: shim %+v, engine %+v", i, want[i], got[i])
+			t.Fatalf("query %d: core %+v, engine %+v", i, want[i], got[i])
 		}
 	}
 }
 
-// TestOpenWithIngestMatchesShimPipeline: the engine's mounted pipeline
-// (WithIngest) lands exactly the same counters as the deprecated
-// NewIngestor wiring over the same stream.
-func TestOpenWithIngestMatchesShimPipeline(t *testing.T) {
+// TestOpenWithIngestMatchesCorePipeline: the engine's mounted pipeline
+// (WithIngest) lands exactly the same counters as an ingest.Ingestor
+// driving a core.Concurrent over the same stream.
+func TestOpenWithIngestMatchesCorePipeline(t *testing.T) {
 	edges := engineTestStream(30_000, 9)
 	sample := edges[:2_000]
 	qs := engineTestQueries(edges, 300)
 	icfg := gsketch.IngestConfig{Workers: 4, BatchSize: 512, QueueDepth: 8}
 
-	g, err := gsketch.New(engineTestCfg, sample, nil)
+	g, err := core.BuildGSketch(engineTestCfg, sample, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim := gsketch.NewConcurrent(g)
-	ing, err := gsketch.NewIngestor(shim, icfg)
+	ref := core.NewConcurrent(g)
+	ing, err := ingest.New(ref, icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +152,7 @@ func TestOpenWithIngestMatchesShimPipeline(t *testing.T) {
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := gsketch.EstimateBatch(shim, qs)
+	want := ref.EstimateBatch(qs)
 
 	eng, err := gsketch.Open(engineTestCfg, gsketch.WithSample(sample), gsketch.WithIngest(icfg))
 	if err != nil {
@@ -163,7 +167,7 @@ func TestOpenWithIngestMatchesShimPipeline(t *testing.T) {
 	got := eng.QueryBatch(qs)
 	for i := range qs {
 		if want[i] != got[i] {
-			t.Fatalf("query %d: shim pipeline %+v, engine pipeline %+v", i, want[i], got[i])
+			t.Fatalf("query %d: core pipeline %+v, engine pipeline %+v", i, want[i], got[i])
 		}
 	}
 	if err := eng.Close(); err != nil {
@@ -171,37 +175,37 @@ func TestOpenWithIngestMatchesShimPipeline(t *testing.T) {
 	}
 }
 
-// TestEngineChainMatchesShimChain drives the adaptive path both ways with
-// identical inputs: the deprecated NewChain + Repartition shims and the
-// engine's recorder-fed Repartition must produce byte-identical chain
-// snapshots and answers.
-func TestEngineChainMatchesShimChain(t *testing.T) {
+// TestEngineChainMatchesCoreChain drives the adaptive path both ways with
+// identical inputs: adapt.NewChain + adapt.Repartition over an explicit
+// workload and the engine's recorder-fed Repartition must produce
+// byte-identical chain snapshots and answers.
+func TestEngineChainMatchesCoreChain(t *testing.T) {
 	edges := engineTestStream(20_000, 11)
 	sample := edges[:2_000]
 	qs := engineTestQueries(edges[10_000:], 256)
 	ccfg := gsketch.ChainConfig{SampleSize: 1024, Seed: 3, MaxGenerations: 4}
 	clock := func() time.Time { return time.Unix(0, 0) }
 
-	// Shim path: explicit chain, explicit workload slice.
-	g0, err := gsketch.New(engineTestCfg, sample, nil)
+	// Core path: explicit chain, explicit workload slice.
+	g0, err := core.BuildGSketch(engineTestCfg, sample, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := gsketch.NewChain(g0, ccfg)
+	chain := adapt.NewChain(g0, ccfg)
 	chain.SetClock(clock) // v4 snapshots carry build times; match the engine's
-	gsketch.Populate(chain, edges[:10_000])
+	core.Populate(chain, edges[:10_000])
 	// The workload the engine will record: the served queries, weight 1,
 	// timestamp 0 (the fixed clock).
 	workload := make([]gsketch.Edge, len(qs))
 	for i, q := range qs {
 		workload[i] = gsketch.Edge{Src: q.Src, Dst: q.Dst, Weight: 1}
 	}
-	gsketch.EstimateBatch(chain, qs) // parity: routing counters see the reads
-	if _, err := gsketch.Repartition(chain, engineTestCfg, workload); err != nil {
+	chain.EstimateBatch(qs) // parity: routing counters see the reads
+	if _, err := adapt.Repartition(chain, engineTestCfg, workload); err != nil {
 		t.Fatal(err)
 	}
-	gsketch.Populate(chain, edges[10_000:])
-	want := gsketch.EstimateBatch(chain, qs)
+	core.Populate(chain, edges[10_000:])
+	want := chain.EstimateBatch(qs)
 	var wantSnap bytes.Buffer
 	if _, err := chain.WriteTo(&wantSnap); err != nil {
 		t.Fatal(err)
@@ -231,7 +235,7 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 	got := eng.QueryBatch(qs)
 	for i := range qs {
 		if want[i] != got[i] {
-			t.Fatalf("query %d: shim chain %+v, engine chain %+v", i, want[i], got[i])
+			t.Fatalf("query %d: core chain %+v, engine chain %+v", i, want[i], got[i])
 		}
 	}
 	var gotSnap bytes.Buffer
@@ -239,7 +243,7 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantSnap.Bytes(), gotSnap.Bytes()) {
-		t.Fatalf("chain snapshot mismatch: shim %d bytes, engine %d bytes", wantSnap.Len(), gotSnap.Len())
+		t.Fatalf("chain snapshot mismatch: core %d bytes, engine %d bytes", wantSnap.Len(), gotSnap.Len())
 	}
 	if eng.Generations() != 2 {
 		t.Fatalf("generations = %d, want 2", eng.Generations())
@@ -247,7 +251,7 @@ func TestEngineChainMatchesShimChain(t *testing.T) {
 }
 
 // TestEngineSnapshotRoundTrip: SaveSnapshot → Open(WithRestoreFile) →
-// byte-identical answers, and the LoadChain shim reads the same file.
+// byte-identical answers, and the core chain reader loads the same file.
 func TestEngineSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	edges := engineTestStream(10_000, 13)
@@ -287,21 +291,22 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The deprecated LoadChain shim reads the same snapshot.
+	// core.ReadChain reads the same snapshot.
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	c, err := gsketch.LoadChain(f, gsketch.ChainConfig{})
+	gens, err := core.ReadChain(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range gsketch.EstimateBatch(c, qs) {
+	c := adapt.NewChainFrom(gens, adapt.ChainConfig{})
+	for i, r := range c.EstimateBatch(qs) {
 		// A restored single-generation chain answers with the same
 		// estimates and bounds (stream totals included).
 		if r != want[i] {
-			t.Fatalf("LoadChain query %d: %+v want %+v", i, r, want[i])
+			t.Fatalf("chain query %d: %+v want %+v", i, r, want[i])
 		}
 	}
 }
@@ -356,9 +361,9 @@ func TestEngineLiveRestoreSwap(t *testing.T) {
 	}
 }
 
-// TestEngineWindowMatchesShim: the engine's mounted window store answers
-// exactly like a hand-fed WindowStore + EstimateWindowBatch.
-func TestEngineWindowMatchesShim(t *testing.T) {
+// TestEngineWindowMatchesDirectStore: the engine's mounted window store
+// answers exactly like a hand-fed WindowStore + EstimateWindowBatch.
+func TestEngineWindowMatchesDirectStore(t *testing.T) {
 	wcfg := gsketch.WindowConfig{
 		Span:       100,
 		SampleSize: 256,
@@ -371,14 +376,14 @@ func TestEngineWindowMatchesShim(t *testing.T) {
 	}
 	qs := engineTestQueries(edges, 100)
 
-	shimStore, err := gsketch.NewWindowStore(wcfg)
+	direct, err := gsketch.NewWindowStore(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := shimStore.ObserveBatch(edges); err != nil {
+	if err := direct.ObserveBatch(edges); err != nil {
 		t.Fatal(err)
 	}
-	want := gsketch.EstimateWindowBatch(shimStore, qs, 1000, 4000)
+	want := gsketch.EstimateWindowBatch(direct, qs, 1000, 4000)
 
 	eng, err := gsketch.Open(engineTestCfg,
 		gsketch.WithSample(edges[:500]),
@@ -397,7 +402,7 @@ func TestEngineWindowMatchesShim(t *testing.T) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("window query %d: shim %v, engine %v", i, want[i], got[i])
+			t.Fatalf("window query %d: direct %v, engine %v", i, want[i], got[i])
 		}
 	}
 	// Restore is refused while the window store is mounted.
@@ -430,6 +435,37 @@ func TestEngineAnswerRecordsWorkload(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Workload == nil || st.Workload.Seen != 2 {
 		t.Fatalf("workload stats = %+v, want 2 seen", eng.Stats().Workload)
+	}
+}
+
+// TestOpenRejectsContradictoryOptions: each remaining option conflict is
+// refused at Open with its own message, before anything is built.
+func TestOpenRejectsContradictoryOptions(t *testing.T) {
+	sample := gsketch.WithSample([]gsketch.Edge{{Src: 1, Dst: 2}})
+	adaptive := gsketch.WithAdaptive(gsketch.ChainConfig{}, gsketch.AdaptConfig{})
+	for _, tc := range []struct {
+		name string
+		opts []gsketch.Option
+		want string
+	}{
+		{"restore+restore-file", []gsketch.Option{gsketch.WithRestore(bytes.NewReader(nil)), gsketch.WithRestoreFile("x.snap")}, "mutually exclusive"},
+		{"negative-auto-interval", []gsketch.Option{sample, adaptive, gsketch.WithAutoRepartition(-time.Second, nil)}, "negative auto-repartition interval"},
+		{"negative-decay", []gsketch.Option{sample, adaptive, gsketch.WithDecay(-time.Second)}, "negative decay half-life"},
+		{"negative-tier-cap", []gsketch.Option{sample, adaptive, gsketch.WithTiering(t.TempDir(), -1)}, "negative tiering residency cap"},
+		{"tier-dir-without-cap", []gsketch.Option{sample, adaptive, gsketch.WithTiering(t.TempDir(), 0)}, "both a directory and a positive residency cap"},
+		{"negative-compaction-interval", []gsketch.Option{sample, adaptive, gsketch.WithCompaction(gsketch.CompactionPolicy{Interval: -time.Second}, nil)}, "negative compaction interval"},
+		{"snapshot-on-close-without-path", []gsketch.Option{sample, gsketch.WithSnapshotOnClose()}, "needs a snapshot path"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := gsketch.Open(engineTestCfg, tc.opts...)
+			if err == nil {
+				eng.Close()
+				t.Fatalf("Open succeeded, want an error containing %q", tc.want)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open error = %q, want it to contain %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -535,7 +571,7 @@ func TestEngineCloseDuringRepartition(t *testing.T) {
 		t.Fatalf("final snapshot missing: %v", err)
 	}
 	defer f.Close()
-	if _, err := gsketch.LoadChain(f, gsketch.ChainConfig{}); err != nil {
+	if _, err := core.ReadChain(f); err != nil {
 		t.Fatalf("final snapshot unreadable: %v", err)
 	}
 	// Post-close ingest fails typed; reads stay usable.

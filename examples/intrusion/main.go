@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,23 +40,30 @@ func main() {
 	const budget = 16 << 10
 	base := gsketch.Config{TotalBytes: budget, Seed: 3}
 
-	global, _ := gsketch.NewGlobal(base)
-	dataOnly, err := gsketch.New(base, dataSample, nil)
+	global, err := gsketch.Open(base, gsketch.WithGlobal())
 	if err != nil {
 		log.Fatal(err)
 	}
-	workloadAware, err := gsketch.New(base, dataSample, workload)
+	dataOnly, err := gsketch.Open(base, gsketch.WithSample(dataSample))
 	if err != nil {
 		log.Fatal(err)
 	}
-	gsketch.Populate(global, edges)
-	gsketch.Populate(dataOnly, edges)
-	gsketch.Populate(workloadAware, edges)
+	workloadAware, err := gsketch.Open(base, gsketch.WithSample(dataSample), gsketch.WithWorkloadSample(workload))
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, eng := range []*gsketch.Engine{global, dataOnly, workloadAware} {
+		defer eng.Close()
+		if err := eng.Ingest(ctx, edges...); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	fmt.Printf("\naccuracy on %d analyst queries (Zipf α=%.1f, %d-byte budget):\n",
 		len(queries), alpha, budget)
-	report := func(name string, est gsketch.Estimator) {
-		acc := query.EvaluateEdgeQueries(est, exact, queries, query.DefaultG0)
+	report := func(name string, eng *gsketch.Engine) {
+		acc := query.EvaluateEdgeQueries(eng.Estimator(), exact, queries, query.DefaultG0)
 		fmt.Printf("  %-22s avg relative error %8.3f   effective queries %5d/%d\n",
 			name, acc.AvgRelErr, acc.Effective, acc.Total)
 	}
@@ -73,5 +81,5 @@ func main() {
 		return true
 	})
 	fmt.Printf("\nheaviest attack pair (%d -> %d): true %d, gSketch %d, within bound e·N_i/w_i = %.0f\n",
-		src, dst, f, workloadAware.EstimateEdge(src, dst), workloadAware.ErrorBound(src))
+		src, dst, f, workloadAware.Query(src, dst).Estimate, workloadAware.Sketch().ErrorBound(src))
 }

@@ -3,8 +3,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"runtime"
 
 	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/graphgen"
@@ -26,34 +28,35 @@ func main() {
 		res.Observe(e)
 	}
 
-	// 2. Build the estimator with a deliberately tight 32 KiB budget (a
+	// 2. Open an engine with a deliberately tight 32 KiB budget (a
 	//    generous budget would terminate partitioning at a single
-	//    near-exact sketch via Theorem 1).
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 32 << 10, Seed: 42}, res.Sample(), nil)
+	//    near-exact sketch via Theorem 1). WithIngest mounts the parallel
+	//    ingest pipeline: its workers apply batches through locks sharded
+	//    by partition (single pass, constant memory). Without it, Ingest
+	//    applies edges synchronously.
+	workers := runtime.GOMAXPROCS(0) // the pipeline default, spelled out
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 32 << 10, Seed: 42},
+		gsketch.WithSample(res.Sample()),
+		gsketch.WithIngest(gsketch.IngestConfig{Workers: workers}))
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer eng.Close()
 	fmt.Printf("gsketch: %d localized partitions, %d bytes of counters\n",
-		g.NumPartitions(), g.MemoryBytes())
+		eng.Sketch().NumPartitions(), eng.Sketch().MemoryBytes())
 
-	// 3. Stream the edges through the parallel ingest pipeline: the
-	//    Concurrent wrapper shards the locks by partition, and the
-	//    Ingestor's workers apply batches in parallel (single pass,
-	//    constant memory). For single-threaded use, gsketch.Populate(g,
-	//    edges) does the same work inline.
-	shared := gsketch.NewConcurrent(g)
-	ing, err := gsketch.NewIngestor(shared, gsketch.IngestConfig{})
-	if err != nil {
+	// 3. Stream the edges through the pipeline, then wait until every
+	//    accepted edge is applied (read-your-writes).
+	ctx := context.Background()
+	if err := eng.Ingest(ctx, edges...); err != nil {
 		log.Fatal(err)
 	}
-	if err := ing.PushBatch(edges); err != nil {
+	if err := eng.Drain(ctx); err != nil {
 		log.Fatal(err)
 	}
-	if err := ing.Close(); err != nil {
-		log.Fatal(err)
-	}
+	is := eng.IngestStats()
 	fmt.Printf("ingested %d edges in %d batches across %d workers\n",
-		ing.Edges(), ing.Batches(), ing.Workers())
+		is.EdgesApplied, is.BatchesApplied, workers)
 
 	// 4. Edge query with guarantees: how often did the most frequent pair
 	//    collaborate, and how much should we trust the answer? Answer
@@ -68,7 +71,7 @@ func main() {
 		}
 	}
 	truth := counts[[2]uint64{top.Src, top.Dst}]
-	resp := gsketch.Answer(shared, gsketch.EdgeQuery{Src: top.Src, Dst: top.Dst})
+	resp := eng.Answer(gsketch.EdgeQuery{Src: top.Src, Dst: top.Dst})
 	fmt.Printf("edge (%d,%d): true %d, estimated %.0f ±%.1f at %.1f%% confidence\n",
 		top.Src, top.Dst, truth, resp.Value, resp.ErrorBound, 100*resp.Confidence)
 
@@ -82,13 +85,13 @@ func main() {
 		},
 		Agg: gsketch.Sum,
 	}
-	sub := gsketch.Answer(shared, q)
+	sub := eng.Answer(q)
 	fmt.Printf("subgraph SUM estimate: %.0f ±%.1f\n", sub.Value, sub.ErrorBound)
 
 	// 6. Node query: this author's aggregate volume toward three named
 	//    co-authors — all constituents share the source vertex, so one
 	//    localized sketch answers the whole query.
-	node := gsketch.Answer(shared, gsketch.NodeQuery{
+	node := eng.Answer(gsketch.NodeQuery{
 		Node: top.Src,
 		Out:  []uint64{top.Dst, top.Dst + 1, top.Dst + 2},
 		Agg:  gsketch.Max,

@@ -5,8 +5,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/graphgen"
@@ -30,35 +32,48 @@ func main() {
 	const budget = 16 << 10 // deliberately tight: 16 KiB
 	sample := reservoirSample(edges, 0.2, 7)
 
-	g, err := gsketch.New(gsketch.Config{TotalBytes: budget, Seed: 1}, sample, nil)
+	sketchCfg := gsketch.Config{TotalBytes: budget, Seed: 1}
+	g, err := gsketch.Open(sketchCfg, gsketch.WithSample(sample))
 	if err != nil {
 		log.Fatal(err)
 	}
-	global, err := gsketch.NewGlobal(gsketch.Config{TotalBytes: budget, Seed: 1})
+	defer g.Close()
+	global, err := gsketch.Open(sketchCfg, gsketch.WithGlobal())
 	if err != nil {
 		log.Fatal(err)
 	}
-	gsketch.Populate(g, edges)
-	gsketch.Populate(global, edges)
+	defer global.Close()
+	// Without WithIngest the engines apply edges synchronously.
+	ctx := context.Background()
+	if err := g.Ingest(ctx, edges...); err != nil {
+		log.Fatal(err)
+	}
+	if err := global.Ingest(ctx, edges...); err != nil {
+		log.Fatal(err)
+	}
 
 	// "How often do these two friends interact?" — collect a spread of
 	// true frequencies, then answer the whole set with one batched pass
 	// per estimator. Each gSketch Result also names its answering
-	// partition and the ε·N_i bound that partition guarantees.
+	// partition and the ε·N_i bound that partition guarantees. The pairs
+	// are walked in (src, dst) order so every run picks the same probes.
+	pairs := sortedPairs(exact)
 	var probes []gsketch.EdgeQuery
 	var truths []int64
 	lastF := int64(-1)
-	exact.RangeEdges(func(src, dst uint64, f int64) bool {
-		if f == lastF || len(probes) >= 8 {
-			return len(probes) < 8
+	for _, p := range pairs {
+		if len(probes) == 8 {
+			break
 		}
-		lastF = f
-		probes = append(probes, gsketch.EdgeQuery{Src: src, Dst: dst})
-		truths = append(truths, f)
-		return true
-	})
-	gRes := gsketch.EstimateBatch(g, probes)
-	globalRes := gsketch.EstimateBatch(global, probes)
+		if p.Weight == lastF {
+			continue
+		}
+		lastF = p.Weight
+		probes = append(probes, gsketch.EdgeQuery{Src: p.Src, Dst: p.Dst})
+		truths = append(truths, p.Weight)
+	}
+	gRes := g.QueryBatch(probes)
+	globalRes := global.QueryBatch(probes)
 	fmt.Println("\npair-frequency estimates (16 KiB budget):")
 	fmt.Println("true   gSketch  ±bound  GlobalSketch  ±bound")
 	for i := range probes {
@@ -69,30 +84,41 @@ func main() {
 
 	// "What is the overall communication volume within a community?" —
 	// an aggregate subgraph query over one member's neighbourhood.
+	// The hub is the most active member (lowest id on a tie).
 	var hub uint64
 	var best int64
-	exact.RangeEdges(func(src, dst uint64, f int64) bool {
-		if exact.VertexFrequency(src) > best {
-			best = exact.VertexFrequency(src)
-			hub = src
+	for _, p := range pairs {
+		if f := exact.VertexFrequency(p.Src); f > best {
+			best, hub = f, p.Src
 		}
-		return true
-	})
+	}
 	var community gsketch.SubgraphQuery
 	community.Agg = gsketch.Sum
 	var truth float64
-	exact.RangeEdges(func(src, dst uint64, f int64) bool {
-		if src == hub {
-			community.Edges = append(community.Edges, gsketch.EdgeQuery{Src: src, Dst: dst})
-			truth += float64(f)
+	for _, p := range pairs {
+		if p.Src == hub {
+			community.Edges = append(community.Edges, gsketch.EdgeQuery{Src: p.Src, Dst: p.Dst})
+			truth += float64(p.Weight)
 		}
-		return true
-	})
-	gAns := gsketch.Answer(g, community)
-	globalAns := gsketch.Answer(global, community)
+	}
+	gAns := g.Answer(community)
+	globalAns := global.Answer(community)
 	fmt.Printf("\ncommunity of member %d (%d edges): true volume %.0f\n", hub, len(community.Edges), truth)
 	fmt.Printf("  gSketch estimate:      %.0f ±%.0f\n", gAns.Value, gAns.ErrorBound)
 	fmt.Printf("  GlobalSketch estimate: %.0f ±%.0f\n", globalAns.Value, globalAns.ErrorBound)
+}
+
+// sortedPairs lists the distinct pairs with their exact frequencies (as
+// Weight) in (src, dst) order.
+func sortedPairs(exact *stream.ExactCounter) []gsketch.Edge {
+	pairs := exact.Edges()
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].Src != pairs[j].Src {
+			return pairs[i].Src < pairs[j].Src
+		}
+		return pairs[i].Dst < pairs[j].Dst
+	})
+	return pairs
 }
 
 func reservoirSample(edges []gsketch.Edge, frac float64, seed uint64) []gsketch.Edge {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/core"
 )
 
 // buildAllocSketch returns a populated gSketch plus a query batch hitting
@@ -14,9 +15,9 @@ func buildAllocSketch(tb testing.TB) (*gsketch.GSketch, []gsketch.EdgeQuery) {
 	for i := 0; i < 256; i++ {
 		sample = append(sample, gsketch.Edge{Src: uint64(i % 32), Dst: uint64(i), Weight: 1})
 	}
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, sample, nil)
+	g, err := core.BuildGSketch(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, sample, nil)
 	if err != nil {
-		tb.Fatalf("New: %v", err)
+		tb.Fatalf("BuildGSketch: %v", err)
 	}
 	gsketch.Populate(g, sample)
 	qs := make([]gsketch.EdgeQuery, 128)

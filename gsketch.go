@@ -1,8 +1,6 @@
 package gsketch
 
 import (
-	"io"
-
 	"github.com/graphstream/gsketch/internal/adapt"
 	"github.com/graphstream/gsketch/internal/compact"
 	"github.com/graphstream/gsketch/internal/core"
@@ -47,100 +45,28 @@ const (
 	RedistributeNone         = core.RedistributeNone
 )
 
-// Estimator is the common query surface of GSketch and GlobalSketch.
+// Estimator is the common read/write surface of every estimator an
+// Engine can serve (Engine.Estimator returns the serving one).
 type Estimator = core.Estimator
 
 // GSketch is the partitioned estimator — the paper's contribution.
 type GSketch = core.GSketch
 
-// GlobalSketch is the single-sketch baseline of §3.2.
-type GlobalSketch = core.GlobalSketch
-
-// Concurrent is a thread-safe estimator wrapper. Wrapping a *GSketch
-// selects partition-sharded locking (the router is immutable, so each
-// partition is an independent update domain); any other estimator gets a
-// single read-write mutex.
-type Concurrent = core.Concurrent
-
 // Leaf describes one localized sketch of a partitioning.
 type Leaf = core.Leaf
-
-// New builds a gSketch from a data sample and an optional workload sample
-// (nil selects the data-only objective of §4.1, non-nil the workload-aware
-// objective of §4.2). The samples steer partitioning only; populate the
-// estimator afterwards with Update.
-//
-// Deprecated: use Open(cfg, WithSample(dataSample),
-// WithWorkloadSample(workloadSample)) — the one-handle Engine owns
-// concurrency, ingest and snapshots too, and answers byte-identically.
-func New(cfg Config, dataSample, workloadSample []Edge) (*GSketch, error) {
-	return core.BuildGSketch(cfg, dataSample, workloadSample)
-}
-
-// NewGlobal builds the Global Sketch baseline with the same budget
-// semantics as New.
-//
-// Deprecated: use Open(cfg, WithGlobal()).
-func NewGlobal(cfg Config) (*GlobalSketch, error) {
-	return core.BuildGlobalSketch(cfg)
-}
-
-// NewConcurrent wraps an estimator for concurrent use.
-//
-// Deprecated: Open wraps its estimator automatically; use Open(cfg,
-// WithEstimator(est)) to adopt one built elsewhere.
-func NewConcurrent(est Estimator) *Concurrent { return core.NewConcurrent(est) }
 
 // Populate streams a slice of edges into an estimator in batches.
 func Populate(est Estimator, edges []Edge) { core.Populate(est, edges) }
 
-// Ingestor is the parallel batch-ingestion pipeline: a bounded
-// multi-producer queue of edge batches drained by N workers into a shared
-// estimator. Pair it with NewConcurrent(New(...)) so the workers write
-// through partition-sharded locks.
-type Ingestor = ingest.Ingestor
-
-// IngestConfig parameterizes an Ingestor; the zero value selects defaults
-// (GOMAXPROCS workers, 1024-edge batches, 4×Workers queue depth).
+// IngestConfig parameterizes the ingest pipeline mounted by WithIngest; the
+// zero value selects defaults (GOMAXPROCS workers, 1024-edge batches,
+// 4×Workers queue depth).
 type IngestConfig = ingest.Config
 
-// ErrIngestClosed reports a push against a closed Ingestor.
-var ErrIngestClosed = ingest.ErrClosed
-
-// ErrIngestQueueFull reports that a non-blocking TryPush/TryPushBatch could
-// not enqueue because the pipeline is at capacity — the typed shed-load
-// signal (retry later), as opposed to the hard failure ErrIngestClosed.
+// ErrIngestQueueFull reports that Engine.TryIngest could not enqueue every
+// edge because the pipeline is at capacity — the typed shed-load signal
+// (retry later), as opposed to the hard failure ErrEngineClosed.
 var ErrIngestQueueFull = ingest.ErrQueueFull
-
-// NewIngestor starts a batch-ingestion pipeline feeding est. Close (or
-// Flush) it before reading final results from est.
-//
-// Deprecated: use Open(cfg, ..., WithIngest(icfg)) — Engine.Ingest and
-// Engine.TryIngest front the same pipeline with context-aware
-// backpressure, and Engine.Close owns the drain.
-func NewIngestor(est Estimator, cfg IngestConfig) (*Ingestor, error) {
-	return ingest.New(est, cfg)
-}
-
-// Save serializes an estimator. It works for a bare *GSketch and for a
-// *Concurrent wrapper — the latter snapshots under its striped read locks,
-// so a save racing live writers is still internally consistent and a
-// restored sketch answers byte-identically to the live one at save time.
-// Estimators without a serialized form (GlobalSketch, custom synopses)
-// return an error.
-//
-// Deprecated: use Engine.Save (or Engine.SaveSnapshot for atomic
-// tmp+rename persistence); the byte format is identical.
-func Save(est Estimator, w io.Writer) (int64, error) { return core.Save(est, w) }
-
-// Load deserializes a gSketch previously saved with Save (or
-// (*GSketch).WriteTo — the formats are identical). Wrap the result in
-// NewConcurrent to resume serving shared traffic. Generation-chain
-// snapshots (saved from a Chain) load with LoadChain instead.
-//
-// Deprecated: use Open(cfg, WithRestore(r)) — it loads single-sketch and
-// chain snapshots alike and hands back a serving engine.
-func Load(r io.Reader) (*GSketch, error) { return core.ReadGSketch(r) }
 
 // Chain is a generation-chained estimator for adaptive repartitioning: one
 // live head sketch absorbing the stream plus frozen prior generations
@@ -190,39 +116,6 @@ var ErrMaxGenerations = adapt.ErrMaxGenerations
 // sampled since the last swap — ingest more, then repartition.
 var ErrEmptyReservoir = adapt.ErrEmptyReservoir
 
-// NewChain starts a generation chain with g as its only, live generation.
-// Serve it like any estimator; when the workload drifts, Repartition hot-
-// swaps a freshly partitioned generation in without forgetting the stream
-// already summarized.
-//
-// Deprecated: use Open(cfg, WithSample(...), WithAdaptive(cfg, mc)) — the
-// engine owns the chain, its repartition manager and the workload
-// recorder feeding it.
-func NewChain(g *GSketch, cfg ChainConfig) *Chain { return adapt.NewChain(g, cfg) }
-
-// LoadChain deserializes a chain saved with (*Chain).WriteTo — or a plain
-// pre-chain snapshot, which loads as a single-generation chain.
-//
-// Deprecated: use Open(cfg, WithRestore(r), WithAdaptive(cc, mc)).
-func LoadChain(r io.Reader, cfg ChainConfig) (*Chain, error) {
-	gens, err := core.ReadChain(r)
-	if err != nil {
-		return nil, err
-	}
-	return adapt.NewChainFrom(gens, cfg), nil
-}
-
-// Repartition rebuilds the partitioning from the chain's own data
-// reservoir and an optional fresh query-workload sample (nil selects the
-// data-only objective), then hot-swaps the result in as the chain's new
-// live generation. It returns the new head sketch.
-//
-// Deprecated: use Engine.Repartition — it rebuilds from the recorded live
-// workload and reports drift and swap latency.
-func Repartition(c *Chain, cfg Config, workload []Edge) (*GSketch, error) {
-	return adapt.Repartition(c, cfg, workload)
-}
-
 // EdgeQuery asks for the accumulated frequency of one directed edge. It is
 // both the unit of the batched estimator read path (EstimateBatch) and a
 // Query variant for Answer — one type end to end, so batched reads cross
@@ -250,7 +143,7 @@ type Query = query.Query
 type Result = core.Result
 
 // NoPartition is the Result.Partition value of answers that did not come
-// from a localized partition (outlier traffic, or a GlobalSketch).
+// from a localized partition (outlier traffic, or the WithGlobal baseline).
 const NoPartition = core.NoPartition
 
 // Response is a resolved Query: the aggregate value, the per-edge Results
@@ -272,8 +165,8 @@ const (
 // EstimateBatch answers a batch of edge queries in one routed pass over
 // the estimator, returning one bound-carrying Result per query in input
 // order. Point estimates are identical to per-edge EstimateEdge; routing,
-// locking (under Concurrent) and per-partition counter passes are
-// amortized across the batch.
+// striped locking and per-partition counter passes are amortized across
+// the batch.
 func EstimateBatch(est Estimator, qs []EdgeQuery) []Result {
 	return est.EstimateBatch(qs)
 }
@@ -291,19 +184,9 @@ func AnswerBatch(est Estimator, qs []Query) []Response {
 	return query.AnswerBatch(est, qs)
 }
 
-// EstimateSubgraph resolves a subgraph query against an estimator by
-// decomposing it into constituent edge queries and folding with Γ.
-//
-// Deprecated: use Answer(est, q), which resolves the same decomposition in
-// one batched pass and also reports the combined error bound; this shim
-// returns Answer(est, q).Value.
-func EstimateSubgraph(est Estimator, q SubgraphQuery) float64 {
-	return query.EstimateSubgraph(est, q)
-}
-
 // Reservoir maintains a uniform fixed-capacity sample of an unbounded
 // stream (Vitter's Algorithm R) — the standard way to obtain the data
-// sample New needs.
+// sample WithSample needs.
 type Reservoir = stream.Reservoir
 
 // NewReservoir returns a reservoir of the given capacity, deterministic

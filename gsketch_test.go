@@ -2,6 +2,7 @@ package gsketch_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -33,15 +34,19 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	for _, e := range edges {
 		res.Observe(e)
 	}
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 64 << 10, Seed: 42}, res.Sample(), nil)
+	cfg := gsketch.Config{TotalBytes: 64 << 10, Seed: 42}
+	eng, err := gsketch.Open(cfg, gsketch.WithSample(res.Sample()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsketch.Populate(g, edges)
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
 
 	// Hub pair (1, 101): i%8 == 1 implies i%4 != 0, so it recurs
 	// n/8 = 2500 times.
-	est := g.EstimateEdge(1, 101)
+	est := eng.Query(1, 101).Estimate
 	if est < 2500 {
 		t.Errorf("hub estimate = %d, want ≥ 2500", est)
 	}
@@ -51,51 +56,60 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Edges: []gsketch.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}, {Src: 3, Dst: 103}},
 		Agg:   gsketch.Sum,
 	}
-	if got := gsketch.EstimateSubgraph(g, q); got < 7000 {
+	if got := eng.Answer(q).Value; got < 7000 {
 		t.Errorf("subgraph SUM = %v, want ≥ 7000", got)
 	}
 
 	// Serialization round-trip through the facade.
 	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
+	if _, err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := gsketch.Load(&buf)
+	loaded, err := gsketch.Open(cfg, gsketch.WithRestore(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.EstimateEdge(1, 101) != est {
+	defer loaded.Close()
+	if loaded.Query(1, 101).Estimate != est {
 		t.Error("loaded sketch disagrees")
 	}
 }
 
 func TestPublicGlobalBaseline(t *testing.T) {
 	edges := synthetic(5000)
-	g, err := gsketch.NewGlobal(gsketch.Config{TotalBytes: 32 << 10, Seed: 1})
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 32 << 10, Seed: 1}, gsketch.WithGlobal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsketch.Populate(g, edges)
-	if g.Count() != int64(len(edges)) {
-		t.Errorf("count = %d", g.Count())
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats().StreamTotal; got != int64(len(edges)) {
+		t.Errorf("count = %d", got)
+	}
+	if eng.Sketch() != nil {
+		t.Error("the global baseline reports a partitioned sketch")
 	}
 }
 
 func TestPublicConcurrent(t *testing.T) {
 	edges := synthetic(5000)
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 32 << 10, Seed: 1}, edges[:500], nil)
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 32 << 10, Seed: 1}, gsketch.WithSample(edges[:500]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := gsketch.NewConcurrent(g)
-	done := make(chan struct{})
-	go func() { defer close(done); gsketch.Populate(c, edges) }()
+	defer eng.Close()
+	done := make(chan error, 1)
+	go func() { done <- eng.Ingest(context.Background(), edges...) }()
 	for i := 0; i < 100; i++ {
-		_ = c.EstimateEdge(1, 101)
+		_ = eng.Query(1, 101)
 	}
-	<-done
-	if c.Count() != int64(len(edges)) {
-		t.Errorf("count = %d", c.Count())
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats().StreamTotal; got != int64(len(edges)) {
+		t.Errorf("count = %d", got)
 	}
 }
 
@@ -121,11 +135,15 @@ func TestPublicWindowStore(t *testing.T) {
 
 func TestPublicBatchedQueryAPI(t *testing.T) {
 	edges := synthetic(20000)
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 64 << 10, Seed: 5}, edges[:2000], nil)
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 64 << 10, Seed: 5}, gsketch.WithSample(edges[:2000]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsketch.Populate(g, edges)
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	g := eng.Estimator()
 
 	// EstimateBatch matches per-edge EstimateEdge and carries guarantees.
 	qs := []gsketch.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}, {Src: 987654, Dst: 1}}
@@ -179,12 +197,12 @@ func TestPublicBatchedQueryAPI(t *testing.T) {
 		t.Fatalf("AnswerBatch = %+v", batch)
 	}
 
-	// The deprecated shim still answers through the batched path.
-	if got := gsketch.EstimateSubgraph(g, gsketch.SubgraphQuery{
+	// The engine's own Answer resolves identically.
+	if got := eng.Answer(gsketch.SubgraphQuery{
 		Edges: []gsketch.EdgeQuery{{Src: 1, Dst: 101}, {Src: 2, Dst: 102}},
 		Agg:   gsketch.Sum,
-	}); got != wantSum {
-		t.Fatalf("EstimateSubgraph shim = %v, want %v", got, wantSum)
+	}); got.Value != wantSum {
+		t.Fatalf("Engine.Answer(subgraph SUM) = %v, want %v", got.Value, wantSum)
 	}
 }
 
@@ -217,50 +235,59 @@ func TestPublicInterner(t *testing.T) {
 	in := gsketch.NewInterner()
 	alice := in.Intern("10.0.0.1")
 	bob := in.Intern("10.0.0.2")
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 16 << 10, Seed: 1},
-		[]gsketch.Edge{{Src: alice, Dst: bob, Weight: 1}}, nil)
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 16 << 10, Seed: 1},
+		gsketch.WithSample([]gsketch.Edge{{Src: alice, Dst: bob, Weight: 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Update(gsketch.Edge{Src: alice, Dst: bob, Weight: 7})
-	if est := g.EstimateEdge(alice, bob); est < 7 {
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), gsketch.Edge{Src: alice, Dst: bob, Weight: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if est := eng.Query(alice, bob).Estimate; est < 7 {
 		t.Errorf("estimate = %d", est)
 	}
 }
 
-// ExampleNew demonstrates the quickstart flow: sample, build, stream,
+// ExampleOpen demonstrates the quickstart flow: sample, open, stream,
 // query.
-func ExampleNew() {
+func ExampleOpen() {
 	// A toy stream: the pair (1, 2) appears 6 times, (3, 4) once.
 	stream := []gsketch.Edge{
 		{Src: 1, Dst: 2}, {Src: 1, Dst: 2}, {Src: 1, Dst: 2},
 		{Src: 1, Dst: 2}, {Src: 1, Dst: 2}, {Src: 1, Dst: 2},
 		{Src: 3, Dst: 4},
 	}
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, stream, nil)
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, gsketch.WithSample(stream))
 	if err != nil {
 		panic(err)
 	}
-	gsketch.Populate(g, stream)
-	fmt.Println(g.EstimateEdge(1, 2))
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), stream...); err != nil {
+		panic(err)
+	}
+	fmt.Println(eng.Query(1, 2).Estimate)
 	// Output: 6
 }
 
-// ExampleEstimateSubgraph demonstrates an aggregate subgraph query.
-func ExampleEstimateSubgraph() {
+// ExampleEngine_Answer demonstrates an aggregate subgraph query.
+func ExampleEngine_Answer() {
 	stream := []gsketch.Edge{
 		{Src: 1, Dst: 2, Weight: 5},
 		{Src: 2, Dst: 3, Weight: 7},
 	}
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, stream, nil)
+	eng, err := gsketch.Open(gsketch.Config{TotalBytes: 1 << 16, Seed: 7}, gsketch.WithSample(stream))
 	if err != nil {
 		panic(err)
 	}
-	gsketch.Populate(g, stream)
-	total := gsketch.EstimateSubgraph(g, gsketch.SubgraphQuery{
+	defer eng.Close()
+	if err := eng.Ingest(context.Background(), stream...); err != nil {
+		panic(err)
+	}
+	total := eng.Answer(gsketch.SubgraphQuery{
 		Edges: []gsketch.EdgeQuery{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
 		Agg:   gsketch.Sum,
 	})
-	fmt.Println(total)
+	fmt.Println(total.Value)
 	// Output: 12
 }

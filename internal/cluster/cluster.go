@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"slices"
 	"sync"
 	"time"
 
+	"github.com/graphstream/gsketch/internal/atomicfile"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/obs"
@@ -313,12 +315,10 @@ func (c *Coordinator) SaveSnapshot(path string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(blob, '\n'), 0o644); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.Write(path, 0o644, func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	}); err != nil {
 		return 0, err
 	}
 	var total int64

@@ -231,6 +231,9 @@ func (s *Segment) Spill(dir string) error {
 		return nil // already spilled and evicted
 	}
 	if s.spillPath == "" {
+		// No fsync and no atomic rename: a spill file is a cache that lives
+		// only as long as this process (snapshots re-serialize spilled
+		// generations in full), so durability would only slow the spill.
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("compact: tier dir: %w", err)
 		}

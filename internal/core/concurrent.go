@@ -155,7 +155,7 @@ func (c *Concurrent) MemoryBytes() int {
 		defer c.mu.RUnlock()
 		return c.est.MemoryBytes()
 	}
-	// Shard synopses may size dynamically (e.g. LossyCounting), so read
+	// Shard synopses may size dynamically (e.g. the map-backed Exact), so read
 	// each one under its stripe lock.
 	total := 0
 	for shard := 0; shard < c.g.NumShards(); shard++ {

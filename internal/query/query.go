@@ -260,15 +260,6 @@ func AnswerBatch(est core.Estimator, qs []Query) []Response {
 	return out
 }
 
-// EstimateSubgraph resolves a subgraph query against an estimator by
-// decomposing it into constituent edge queries and folding with Γ (§5).
-//
-// Deprecated: use Answer, which resolves the same decomposition through
-// the batched read path and also reports the combined error bound.
-func EstimateSubgraph(est core.Estimator, q SubgraphQuery) float64 {
-	return Answer(est, q).Value
-}
-
 // ExactSubgraph resolves a subgraph query against exact frequencies
 // provided by lookup.
 func ExactSubgraph(lookup func(src, dst uint64) int64, q SubgraphQuery) float64 {

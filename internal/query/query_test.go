@@ -70,7 +70,7 @@ func (e exactEstimator) EstimateBatch(qs []core.EdgeQuery) []core.Result {
 
 var _ core.Estimator = exactEstimator{}
 
-func TestEstimateSubgraph(t *testing.T) {
+func TestAnswerSubgraphOverExact(t *testing.T) {
 	c := stream.NewExactCounter()
 	c.Observe(stream.Edge{Src: 1, Dst: 2, Weight: 10})
 	c.Observe(stream.Edge{Src: 2, Dst: 3, Weight: 20})
@@ -79,11 +79,11 @@ func TestEstimateSubgraph(t *testing.T) {
 		Edges: []EdgeQuery{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
 		Agg:   Sum,
 	}
-	if got := EstimateSubgraph(est, q); got != 30 {
+	if got := Answer(est, q).Value; got != 30 {
 		t.Errorf("subgraph SUM = %v, want 30", got)
 	}
 	q.Agg = Min
-	if got := EstimateSubgraph(est, q); got != 10 {
+	if got := Answer(est, q).Value; got != 10 {
 		t.Errorf("subgraph MIN = %v, want 10", got)
 	}
 	if got := ExactSubgraph(c.EdgeFrequency, q); got != 10 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/adapt"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -28,9 +29,9 @@ func TestRepartitionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	edges := testStream(20000, 51)
 	srv, ts := newTestServer(t, Config{
-		Estimator:    newTestChain(t, edges[:1500]),
-		SnapshotPath: filepath.Join(dir, "chain.gsk"),
-		Adapt:        adapt.ManagerConfig{Sketch: testSketchConfig()},
+		Engine: openAdaptiveEngine(t, newTestChain(t, edges[:1500]), adapt.ManagerConfig{Sketch: testSketchConfig()},
+			gsketch.WithSnapshotFile(filepath.Join(dir, "chain.gsk")),
+		),
 	})
 
 	ingestAll(t, ts.URL, edges[:10000])
@@ -127,14 +128,14 @@ func TestRepartitionEndToEnd(t *testing.T) {
 // auto-trigger loop closes the record → rebuild → swap loop by itself.
 func TestAutoRepartitionOnDrift(t *testing.T) {
 	edges := testStream(20000, 53)
+	mc := adapt.ManagerConfig{
+		Sketch:      testSketchConfig(),
+		MinWorkload: 32,
+		MinData:     64,
+	}
 	_, ts := newTestServer(t, Config{
-		Estimator: newTestChain(t, edges[:1500]),
-		Adapt: adapt.ManagerConfig{
-			Sketch:      testSketchConfig(),
-			MinWorkload: 32,
-			MinData:     64,
-		},
-		AdaptInterval: 5 * time.Millisecond,
+		Engine: openAdaptiveEngine(t, newTestChain(t, edges[:1500]), mc,
+			gsketch.WithAutoRepartition(5*time.Millisecond, nil)),
 	})
 
 	ingestAll(t, ts.URL, edges[:10000])
@@ -174,8 +175,9 @@ func TestNonAdaptiveServerRefusesChainSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{
-		Estimator:    buildTestGSketch(t, edges[:1000]),
-		SnapshotPath: path,
+		Engine: openTestEngine(t, buildTestGSketch(t, edges[:1000]),
+			gsketch.WithSnapshotFile(path),
+		),
 	})
 	resp, err := http.Post(ts.URL+"/snapshot/restore", "application/json", nil)
 	if err != nil {
@@ -212,9 +214,9 @@ func TestCompactEndpointEndToEnd(t *testing.T) {
 	// assertions below stay valid.
 	chain := adapt.NewChain(buildTestGSketch(t, edges[:1500]), adapt.ChainConfig{SampleSize: 16384, Seed: 7})
 	_, ts := newTestServer(t, Config{
-		Estimator:    chain,
-		SnapshotPath: filepath.Join(dir, "chain.gsk"),
-		Adapt:        adapt.ManagerConfig{Sketch: testSketchConfig()},
+		Engine: openAdaptiveEngine(t, chain, adapt.ManagerConfig{Sketch: testSketchConfig()},
+			gsketch.WithSnapshotFile(filepath.Join(dir, "chain.gsk")),
+		),
 	})
 
 	// Two pivots → three generations (two frozen, one live head).
@@ -302,7 +304,7 @@ func TestCompactEndpointEndToEnd(t *testing.T) {
 	}
 
 	// A non-adaptive server does not mount the route at all.
-	_, plainTS := newTestServer(t, Config{Estimator: buildTestGSketch(t, edges[:500])})
+	_, plainTS := newTestServer(t, Config{Engine: openTestEngine(t, buildTestGSketch(t, edges[:500]))})
 	resp, err := http.Post(plainTS.URL+"/compact", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -322,16 +324,16 @@ func TestShutdownDuringAutoRepartition(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "final-chain.gsk")
 	edges := testStream(20000, 59)
+	mc := adapt.ManagerConfig{
+		Sketch:         testSketchConfig(),
+		DriftThreshold: 0.01,
+		MinWorkload:    8,
+		MinData:        8,
+	}
 	srv, ts := newTestServer(t, Config{
-		Estimator:    newTestChain(t, edges[:1500]),
-		SnapshotPath: snap,
-		Adapt: adapt.ManagerConfig{
-			Sketch:         testSketchConfig(),
-			DriftThreshold: 0.01,
-			MinWorkload:    8,
-			MinData:        8,
-		},
-		AdaptInterval:      time.Millisecond,
+		Engine: openAdaptiveEngine(t, newTestChain(t, edges[:1500]), mc,
+			gsketch.WithAutoRepartition(time.Millisecond, nil),
+			gsketch.WithSnapshotFile(snap)),
 		SnapshotOnShutdown: true,
 	})
 

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/wire"
@@ -22,8 +23,9 @@ func TestIngestAllocsPerEdge(t *testing.T) {
 	edges := testStream(n, 31)
 	g := buildTestGSketch(t, edges)
 	srv, _ := newTestServer(t, Config{
-		Estimator: core.NewConcurrent(g),
-		Ingest:    ingest.Config{Workers: 1, BatchSize: 1024, QueueDepth: 16},
+		Engine: openTestEngine(t, core.NewConcurrent(g),
+			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 1024, QueueDepth: 16}),
+		),
 	})
 	h := srv.Handler()
 

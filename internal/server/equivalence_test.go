@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/adapt"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/hashutil"
 	"github.com/graphstream/gsketch/internal/ingest"
@@ -43,6 +45,33 @@ func buildTestGSketch(t *testing.T, sample []stream.Edge) *core.GSketch {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// openTestEngine opens an engine over est with a mounted ingest pipeline —
+// the wiring the HTTP and wire paths serve through — plus the test's own
+// options (a later WithIngest replaces the default pipeline config). The
+// server closes the engine on Shutdown; the cleanup covers a failed New.
+func openTestEngine(t *testing.T, est core.Estimator, opts ...gsketch.Option) *gsketch.Engine {
+	t.Helper()
+	eng, err := gsketch.Open(gsketch.Config{}, append([]gsketch.Option{
+		gsketch.WithEstimator(est),
+		gsketch.WithIngest(ingest.Config{}),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// openAdaptiveEngine is openTestEngine over a chain with a repartition
+// manager (thresholds mc) fed by a 4096-query workload recorder.
+func openAdaptiveEngine(t *testing.T, chain *adapt.Chain, mc adapt.ManagerConfig, opts ...gsketch.Option) *gsketch.Engine {
+	t.Helper()
+	return openTestEngine(t, chain, append([]gsketch.Option{
+		gsketch.WithAdaptive(chain.Config(), mc),
+		gsketch.WithWorkloadRecorder(4096, 0),
+	}, opts...)...)
 }
 
 // newTestServer starts a Server over httptest and arranges cleanup.
@@ -165,9 +194,10 @@ func TestServeEquivalenceEndToEnd(t *testing.T) {
 	// paths are confined to SnapshotPath's directory, so configure one.
 	snapDir := t.TempDir()
 	srv, ts := newTestServer(t, Config{
-		Estimator:    buildTestGSketch(t, sample),
-		Ingest:       ingest.Config{Workers: 4, BatchSize: 512, QueueDepth: 4},
-		SnapshotPath: snapDir + "/default.gsk",
+		Engine: openTestEngine(t, buildTestGSketch(t, sample),
+			gsketch.WithIngest(ingest.Config{Workers: 4, BatchSize: 512, QueueDepth: 4}),
+			gsketch.WithSnapshotFile(snapDir+"/default.gsk"),
+		),
 	})
 	ingestAll(t, ts.URL, edges)
 
@@ -194,8 +224,9 @@ func TestServeEquivalenceEndToEnd(t *testing.T) {
 	}
 
 	_, ts2 := newTestServer(t, Config{
-		Estimator: buildTestGSketch(t, sample),
-		Ingest:    ingest.Config{Workers: 2, BatchSize: 512, QueueDepth: 4},
+		Engine: openTestEngine(t, buildTestGSketch(t, sample),
+			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 512, QueueDepth: 4}),
+		),
 	})
 	restoreResp, err := http.Post(ts2.URL+"/snapshot/restore", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {

@@ -55,7 +55,7 @@ func familyValue(t *testing.T, fams []obs.Family, name string) float64 {
 // the traffic.
 func TestMetricsExposition(t *testing.T) {
 	edges := testStream(3000, 21)
-	_, ts := newTestServer(t, Config{Estimator: buildTestGSketch(t, edges[:1000])})
+	_, ts := newTestServer(t, Config{Engine: openTestEngine(t, buildTestGSketch(t, edges[:1000]))})
 
 	if code, _ := postIngest(t, ts.URL, edges, true); code != http.StatusOK {
 		t.Fatalf("ingest: %d", code)
@@ -135,7 +135,7 @@ func TestMetricsExposition(t *testing.T) {
 // straight into a registry histogram and asserts the scraped quantiles
 // bracket them — the end-to-end path of the bench's server-side view.
 func TestMetricsQuantilesBracketInjectedLatencies(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Estimator: buildTestGSketch(t, testStream(500, 3))})
+	srv, ts := newTestServer(t, Config{Engine: openTestEngine(t, buildTestGSketch(t, testStream(500, 3)))})
 	h := srv.Metrics().Histogram("test_injected_seconds", "injected", nil)
 	for i := 0; i < 98; i++ {
 		h.ObserveDuration(3 * time.Millisecond)
@@ -164,7 +164,7 @@ func TestMetricsQuantilesBracketInjectedLatencies(t *testing.T) {
 // the restore is in flight and 200 again after it lands, while
 // /healthz stays 200 throughout (alive ≠ ready).
 func TestReadyzFlipsDuringRestore(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Estimator: buildTestGSketch(t, testStream(2000, 7))})
+	srv, ts := newTestServer(t, Config{Engine: openTestEngine(t, buildTestGSketch(t, testStream(2000, 7)))})
 
 	getCode := func(path string) int {
 		resp, err := http.Get(ts.URL + path)
@@ -223,7 +223,7 @@ func TestReadyzFlipsDuringRestore(t *testing.T) {
 // way alloc_test guards the HTTP path: per-frame instrumentation (two
 // histograms + byte counters) must not add allocations.
 func TestWireHistogramObserveIsAllocFree(t *testing.T) {
-	srv, _ := newTestServer(t, Config{Estimator: buildTestGSketch(t, testStream(500, 5))})
+	srv, _ := newTestServer(t, Config{Engine: openTestEngine(t, buildTestGSketch(t, testStream(500, 5)))})
 	start := time.Now()
 	if n := testing.AllocsPerRun(500, func() {
 		srv.metrics.wireDecode.ObserveSince(start)

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"testing"
 
+	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/adapt"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
 	"github.com/graphstream/gsketch/internal/vstats"
@@ -12,7 +14,7 @@ import (
 // TestRecorderCapBound checks the reservoir invariant: sample size never
 // exceeds capacity while seen keeps counting.
 func TestRecorderCapBound(t *testing.T) {
-	r := NewRecorder(64, 1, nil)
+	r := adapt.NewRecorder(64, 1, nil)
 	qs := make([]core.EdgeQuery, 1000)
 	for i := range qs {
 		qs[i] = core.EdgeQuery{Src: uint64(i % 10), Dst: uint64(i)}
@@ -34,9 +36,9 @@ func TestRecorderCapBound(t *testing.T) {
 func TestWorkloadCaptureClosesTheLoop(t *testing.T) {
 	edges := testStream(20_000, 23)
 	_, ts := newTestServer(t, Config{
-		Estimator:          buildTestGSketch(t, edges[:3000]),
-		WorkloadSampleSize: 512,
-		WorkloadSeed:       9,
+		Engine: openTestEngine(t, buildTestGSketch(t, edges[:3000]),
+			gsketch.WithWorkloadRecorder(512, 9),
+		),
 	})
 
 	// Serve a skewed workload: vertex edges[0].Src is queried far more
@@ -88,12 +90,11 @@ func TestWorkloadCaptureClosesTheLoop(t *testing.T) {
 	}
 }
 
-// TestWorkloadDisabled checks that a negative capacity disables recording
-// and unmounts the endpoint.
+// TestWorkloadDisabled checks that an engine opened without a workload
+// recorder does not mount the endpoint.
 func TestWorkloadDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Estimator:          buildTestGSketch(t, testStream(1000, 29)),
-		WorkloadSampleSize: -1,
+		Engine: openTestEngine(t, buildTestGSketch(t, testStream(1000, 29))),
 	})
 	resp, err := http.Get(ts.URL + "/workload")
 	if err != nil {

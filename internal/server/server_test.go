@@ -12,9 +12,11 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/cluster"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
+	"github.com/graphstream/gsketch/internal/tenant"
 	"github.com/graphstream/gsketch/internal/window"
 )
 
@@ -83,8 +85,9 @@ func postIngest(t *testing.T, baseURL string, edges []stream.Edge, sync bool) (i
 func TestIngestBackpressure429(t *testing.T) {
 	dest := &gateEstimator{gate: make(chan struct{})}
 	srv, ts := newTestServer(t, Config{
-		Estimator: dest,
-		Ingest:    ingest.Config{Workers: 1, BatchSize: 4, QueueDepth: 1},
+		Engine: openTestEngine(t, dest,
+			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 4, QueueDepth: 1}),
+		),
 	})
 	// While the gate is closed the generic-fallback worker holds the
 	// estimator's write lock, so state polling goes straight to the
@@ -144,9 +147,10 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	snap := t.TempDir() + "/final.gsk"
 	edges := testStream(10_000, 5)
 	srv, ts := newTestServer(t, Config{
-		Estimator:          buildTestGSketch(t, edges[:2000]),
-		Ingest:             ingest.Config{Workers: 2, BatchSize: 256, QueueDepth: 4},
-		SnapshotPath:       snap,
+		Engine: openTestEngine(t, buildTestGSketch(t, edges[:2000]),
+			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 256, QueueDepth: 4}),
+			gsketch.WithSnapshotFile(snap),
+		),
 		SnapshotOnShutdown: true,
 	})
 	ingestAll(t, ts.URL, edges)
@@ -204,10 +208,6 @@ func TestWindowQueryEndpoint(t *testing.T) {
 		Sketch:     core.Config{TotalBytes: 16 << 10, Seed: 11},
 		Seed:       11,
 	}
-	served, err := window.NewStore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reference, err := window.NewStore(wcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +219,7 @@ func TestWindowQueryEndpoint(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Config{
-		Estimator: buildTestGSketch(t, edges[:1000]),
-		Window:    served,
+		Engine: openTestEngine(t, buildTestGSketch(t, edges[:1000]), gsketch.WithWindows(wcfg)),
 	})
 	for lo := 0; lo < len(edges); lo += 1000 {
 		if code, _ := postIngest(t, ts.URL, edges[lo:lo+1000], true); code != http.StatusOK {
@@ -271,9 +270,32 @@ func TestWindowQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestNewNeedsExactlyOneBackend: a server fronts one engine, one cluster
+// or one tenant registry — never none, never two.
+func TestNewNeedsExactlyOneBackend(t *testing.T) {
+	eng := openTestEngine(t, buildTestGSketch(t, testStream(100, 3)))
+	coord, reg := new(cluster.Coordinator), new(tenant.Registry)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"none", Config{}},
+		{"engine+cluster", Config{Engine: eng, Cluster: coord}},
+		{"engine+tenants", Config{Engine: eng, Tenants: reg}},
+		{"cluster+tenants", Config{Cluster: coord, Tenants: reg}},
+		{"all", Config{Engine: eng, Cluster: coord, Tenants: reg}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), "exactly one") {
+				t.Fatalf("New(%s) = %v, want an exactly-one-backend error", tc.name, err)
+			}
+		})
+	}
+}
+
 // TestBadRequests covers the defensive error paths.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Estimator: buildTestGSketch(t, testStream(1000, 17))})
+	_, ts := newTestServer(t, Config{Engine: openTestEngine(t, buildTestGSketch(t, testStream(1000, 17)))})
 
 	post := func(path, ctype, body string) int {
 		resp, err := http.Post(ts.URL+path, ctype, strings.NewReader(body))
@@ -326,7 +348,7 @@ func TestBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts2 := newTestServer(t, Config{Estimator: gl})
+	_, ts2 := newTestServer(t, Config{Engine: openTestEngine(t, gl)})
 	snapResp, err := http.Get(ts2.URL + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +363,9 @@ func TestBadRequests(t *testing.T) {
 // counters and the live gauges.
 func TestStatsShape(t *testing.T) {
 	edges := testStream(5000, 19)
-	_, ts := newTestServer(t, Config{Estimator: buildTestGSketch(t, edges[:1000])})
+	// /stats reports workload gauges only when a recorder is mounted.
+	_, ts := newTestServer(t, Config{Engine: openTestEngine(t, buildTestGSketch(t, edges[:1000]),
+		gsketch.WithWorkloadRecorder(4096, 0))})
 	if code, _ := postIngest(t, ts.URL, edges, true); code != http.StatusOK {
 		t.Fatalf("ingest: %d", code)
 	}

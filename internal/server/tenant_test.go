@@ -270,7 +270,7 @@ func TestErrorBodyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plainTS := newTestServer(t, Config{Estimator: g})
+	_, plainTS := newTestServer(t, Config{Engine: openTestEngine(t, g)})
 	plainURL := plainTS.URL
 
 	// Two adaptive servers pin the typed repartition refusals: one whose
@@ -279,10 +279,10 @@ func TestErrorBodyShape(t *testing.T) {
 	edges := testStream(2000, 91)
 	capped := adapt.NewChain(buildTestGSketch(t, edges[:500]),
 		adapt.ChainConfig{SampleSize: 512, Seed: 3, MaxGenerations: 1})
-	_, cappedTS := newTestServer(t, Config{Estimator: capped, Adapt: adapt.ManagerConfig{Sketch: testSketchConfig()}})
+	_, cappedTS := newTestServer(t, Config{Engine: openAdaptiveEngine(t, capped, adapt.ManagerConfig{Sketch: testSketchConfig()})})
 	starved := adapt.NewChain(buildTestGSketch(t, edges[:500]),
 		adapt.ChainConfig{SampleSize: 512, Seed: 3})
-	_, starvedTS := newTestServer(t, Config{Estimator: starved, Adapt: adapt.ManagerConfig{Sketch: testSketchConfig()}})
+	_, starvedTS := newTestServer(t, Config{Engine: openAdaptiveEngine(t, starved, adapt.ManagerConfig{Sketch: testSketchConfig()})})
 
 	cases := []struct {
 		name     string

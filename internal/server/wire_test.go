@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	gsketch "github.com/graphstream/gsketch"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/ingest"
 	"github.com/graphstream/gsketch/internal/stream"
@@ -118,8 +119,9 @@ func TestWireEquivalence(t *testing.T) {
 	edges := testStream(6000, 11)
 	g := buildTestGSketch(t, edges[:2000])
 	cfg := Config{
-		Estimator: core.NewConcurrent(g),
-		Ingest:    ingest.Config{Workers: 2, BatchSize: 256},
+		Engine: openTestEngine(t, core.NewConcurrent(g),
+			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 256}),
+		),
 	}
 	srv, httpURL, wireAddr := newWireServer(t, cfg)
 
@@ -195,8 +197,9 @@ func TestWireHTTPIngest(t *testing.T) {
 	edges := testStream(3000, 17)
 	g := buildTestGSketch(t, edges[:1000])
 	_, hts := newTestServer(t, Config{
-		Estimator: core.NewConcurrent(g),
-		Ingest:    ingest.Config{Workers: 2, BatchSize: 512},
+		Engine: openTestEngine(t, core.NewConcurrent(g),
+			gsketch.WithIngest(ingest.Config{Workers: 2, BatchSize: 512}),
+		),
 	})
 	ts := hts.URL
 
@@ -247,7 +250,7 @@ func TestWireHTTPIngest(t *testing.T) {
 // typed error frame and close the connection without panicking.
 func TestWireCorruptFrame(t *testing.T) {
 	g := buildTestGSketch(t, testStream(100, 3))
-	_, _, wireAddr := newWireServer(t, Config{Estimator: core.NewConcurrent(g)})
+	_, _, wireAddr := newWireServer(t, Config{Engine: openTestEngine(t, core.NewConcurrent(g))})
 
 	wc := dialWire(t, wireAddr)
 	// A valid frame first, so the failure is genuinely mid-stream.
@@ -274,7 +277,7 @@ func TestWireCorruptFrame(t *testing.T) {
 // than MaxBodyBytes is rejected up front.
 func TestWireOversizedFrame(t *testing.T) {
 	g := buildTestGSketch(t, testStream(100, 3))
-	_, _, wireAddr := newWireServer(t, Config{Estimator: core.NewConcurrent(g), MaxBodyBytes: 1 << 16})
+	_, _, wireAddr := newWireServer(t, Config{Engine: openTestEngine(t, core.NewConcurrent(g)), MaxBodyBytes: 1 << 16})
 
 	wc := dialWire(t, wireAddr)
 	hdr := make([]byte, wire.HeaderSize)
@@ -291,7 +294,7 @@ func TestWireOversizedFrame(t *testing.T) {
 // mismatched bodies with a wire error frame and HTTP 400.
 func TestWireBadBodyHTTP(t *testing.T) {
 	g := buildTestGSketch(t, testStream(100, 3))
-	_, hts := newTestServer(t, Config{Estimator: core.NewConcurrent(g)})
+	_, hts := newTestServer(t, Config{Engine: openTestEngine(t, core.NewConcurrent(g))})
 	ts := hts.URL
 
 	cases := []struct {
@@ -328,7 +331,7 @@ func TestWireBadBodyHTTP(t *testing.T) {
 func TestWireStatsCounters(t *testing.T) {
 	edges := testStream(500, 23)
 	g := buildTestGSketch(t, edges)
-	_, httpURL, wireAddr := newWireServer(t, Config{Estimator: core.NewConcurrent(g), Ingest: ingest.Config{Workers: 1, BatchSize: 128}})
+	_, httpURL, wireAddr := newWireServer(t, Config{Engine: openTestEngine(t, core.NewConcurrent(g), gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 128}))})
 
 	wc := dialWire(t, wireAddr)
 	wc.ingestWire(t, edges)
@@ -361,7 +364,7 @@ func TestWireStatsCounters(t *testing.T) {
 // connections: in-flight clients see EOF/reset, new dials are refused.
 func TestWireShutdown(t *testing.T) {
 	g := buildTestGSketch(t, testStream(100, 3))
-	srv, _, wireAddr := newWireServer(t, Config{Estimator: core.NewConcurrent(g)})
+	srv, _, wireAddr := newWireServer(t, Config{Engine: openTestEngine(t, core.NewConcurrent(g))})
 
 	wc := dialWire(t, wireAddr)
 	wc.queryWire(t, []core.EdgeQuery{{Src: 1, Dst: 2}}) // connection is live
@@ -387,9 +390,10 @@ func TestWireClusterFrames(t *testing.T) {
 	g := buildTestGSketch(t, edges[:300])
 	snap := t.TempDir() + "/wire.snap"
 	_, _, wireAddr := newWireServer(t, Config{
-		Estimator:    core.NewConcurrent(g),
-		Ingest:       ingest.Config{Workers: 1, BatchSize: 128},
-		SnapshotPath: snap,
+		Engine: openTestEngine(t, core.NewConcurrent(g),
+			gsketch.WithIngest(ingest.Config{Workers: 1, BatchSize: 128}),
+			gsketch.WithSnapshotFile(snap),
+		),
 	})
 
 	wc := dialWire(t, wireAddr)
@@ -445,7 +449,7 @@ func TestWireClusterFrames(t *testing.T) {
 	// No snapshot path configured: save answers unsupported, connection
 	// stays usable afterwards for non-snapshot frames.
 	g2 := buildTestGSketch(t, edges[:300])
-	_, _, wireAddr2 := newWireServer(t, Config{Estimator: core.NewConcurrent(g2)})
+	_, _, wireAddr2 := newWireServer(t, Config{Engine: openTestEngine(t, core.NewConcurrent(g2))})
 	wc2 := dialWire(t, wireAddr2)
 	wc2.send(t, wire.AppendSnapSave(nil))
 	f = wc2.next(t)

@@ -75,35 +75,9 @@ func TestCountSketchUpdateBatchEquivalence(t *testing.T) {
 	assertEquivalent(t, "countsketch", seq, bat, keys, counts)
 }
 
-func TestLossyCountingUpdateBatchEquivalence(t *testing.T) {
-	keys, counts := batchStream(20_000, 19)
-	seq, _ := NewLossyCounting(0.001)
-	bat, _ := NewLossyCounting(0.001)
-	assertEquivalent(t, "lossy", seq, bat, keys, counts)
-	if seq.Entries() != bat.Entries() {
-		t.Fatalf("lossy: retained %d (sequential) vs %d (batch) entries", seq.Entries(), bat.Entries())
-	}
-}
-
 func TestExactUpdateBatchEquivalence(t *testing.T) {
 	keys, counts := batchStream(20_000, 23)
 	assertEquivalent(t, "exact", NewExact(), NewExact(), keys, counts)
-}
-
-func TestAMSUpdateBatchEquivalence(t *testing.T) {
-	keys, counts := batchStream(5_000, 29)
-	seq, _ := NewAMS(5, 64, 3)
-	bat, _ := NewAMS(5, 64, 3)
-	for i := range keys {
-		seq.Update(keys[i], counts[i])
-	}
-	bat.UpdateBatch(keys, counts)
-	if seq.Count() != bat.Count() {
-		t.Fatalf("ams: Count %d vs %d", seq.Count(), bat.Count())
-	}
-	if seq.EstimateF2() != bat.EstimateF2() {
-		t.Fatalf("ams: F2 %v (sequential) vs %v (batch)", seq.EstimateF2(), bat.EstimateF2())
-	}
 }
 
 func TestUpdateBatchLengthMismatchPanics(t *testing.T) {

@@ -55,12 +55,6 @@ func TestCountSketchEstimateBatchEvenDepth(t *testing.T) {
 	assertGatherEquivalent(t, "countsketch-even-depth", cs, keys, counts)
 }
 
-func TestLossyCountingEstimateBatchEquivalence(t *testing.T) {
-	keys, counts := batchStream(20_000, 53)
-	lc, _ := NewLossyCounting(0.001)
-	assertGatherEquivalent(t, "lossy", lc, keys, counts)
-}
-
 func TestExactEstimateBatchEquivalence(t *testing.T) {
 	keys, counts := batchStream(20_000, 59)
 	assertGatherEquivalent(t, "exact", NewExact(), keys, counts)

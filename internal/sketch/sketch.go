@@ -1,8 +1,9 @@
 // Package sketch implements the frequency synopses that gsketch builds on:
-// the CountMin sketch (Cormode & Muthukrishnan), an optional
-// conservative-update variant, the CountSketch (AMS-style median estimator),
-// Lossy Counting (Manku & Motwani) and an exact map-backed counter used for
-// ground truth in tests and experiments.
+// the CountMin sketch (Cormode & Muthukrishnan) with an optional
+// conservative-update variant, the CountSketch (median estimator, the
+// ablation benches' alternative base synopsis), and an exact map-backed
+// counter that tests plug into the partitioned estimator as a ground-truth
+// oracle.
 //
 // All synopses summarize a stream of (key, count) increments over 64-bit
 // keys and answer point frequency estimates. They share the Synopsis

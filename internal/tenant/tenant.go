@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/atomicfile"
 	"github.com/graphstream/gsketch/internal/core"
 	"github.com/graphstream/gsketch/internal/stream"
 )
@@ -239,8 +241,8 @@ func readManifest(path string) (manifest, error) {
 	return m, nil
 }
 
-// writeManifestLocked persists the tenant catalog via tmp + rename.
-// Caller holds r.mu.
+// writeManifestLocked persists the tenant catalog atomically. Caller
+// holds r.mu.
 func (r *Registry) writeManifestLocked() error {
 	m := manifest{Schema: 1, Tenants: make(map[string]Overrides, len(r.tenants))}
 	for name, t := range r.tenants {
@@ -250,23 +252,10 @@ func (r *Registry) writeManifestLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(r.cfg.Dir, ".manifest-*")
-	if err != nil {
+	return atomicfile.Write(r.manifestPath(), 0o600, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), r.manifestPath())
+	})
 }
 
 // Create registers a tenant (idempotently: re-creating an existing one

@@ -42,9 +42,8 @@ type engineOptions struct {
 	tierResident  int
 	decayHalfLife time.Duration
 
-	ingestCfg   *ingest.Config
-	windowCfg   *window.StoreConfig
-	windowStore *window.Store
+	ingestCfg *ingest.Config
+	windowCfg *window.StoreConfig
 
 	snapshotPath    string
 	snapshotOnClose bool
@@ -76,8 +75,9 @@ func WithGlobal() Option {
 }
 
 // WithEstimator adopts an estimator built elsewhere as the engine's core.
-// A *Concurrent or *Chain is served as-is; anything else is wrapped in a
-// Concurrent so the engine's paths go through the striped locks.
+// A *Chain, or an estimator already wrapped for concurrent use, is served
+// as-is; anything else is wrapped so the engine's paths go through the
+// striped locks.
 func WithEstimator(est Estimator) Option {
 	return func(o *engineOptions) { o.estimator = est }
 }
@@ -174,11 +174,6 @@ func WithWindows(cfg WindowConfig) Option {
 	return func(o *engineOptions) { c := cfg; o.windowCfg = &c }
 }
 
-// WithWindowStore adopts an existing window store instead of building one.
-func WithWindowStore(s *WindowStore) Option {
-	return func(o *engineOptions) { o.windowStore = s }
-}
-
 // WithSnapshotDir gives snapshot persistence a home directory:
 // SaveSnapshot/RestoreSnapshot default to <dir>/gsketch.snap.
 func WithSnapshotDir(dir string) Option {
@@ -237,9 +232,6 @@ func (o *engineOptions) validate() error {
 	}
 	if o.autoInterval < 0 {
 		return errors.New("gsketch: negative auto-repartition interval")
-	}
-	if o.windowCfg != nil && o.windowStore != nil {
-		return errors.New("gsketch: WithWindows and WithWindowStore are mutually exclusive")
 	}
 	if o.decayHalfLife < 0 {
 		return errors.New("gsketch: negative decay half-life")

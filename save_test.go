@@ -2,35 +2,40 @@ package gsketch_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
 	gsketch "github.com/graphstream/gsketch"
+	"github.com/graphstream/gsketch/internal/adapt"
+	"github.com/graphstream/gsketch/internal/core"
 )
 
-// buildPopulated returns a populated Concurrent-wrapped gSketch plus the
-// stream that fed it.
-func buildPopulated(t *testing.T) (*gsketch.Concurrent, []gsketch.Edge) {
+var saveTestCfg = gsketch.Config{TotalBytes: 64 << 10, Seed: 7}
+
+// buildPopulated returns a populated engine plus the stream that fed it.
+func buildPopulated(t *testing.T) (*gsketch.Engine, []gsketch.Edge) {
 	t.Helper()
 	edges := synthetic(20_000)
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 64 << 10, Seed: 7}, edges[:2000], nil)
+	eng, err := gsketch.Open(saveTestCfg, gsketch.WithSample(edges[:2000]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := gsketch.NewConcurrent(g)
-	gsketch.Populate(c, edges)
-	return c, edges
+	t.Cleanup(func() { eng.Close() })
+	if err := eng.Ingest(context.Background(), edges...); err != nil {
+		t.Fatal(err)
+	}
+	return eng, edges
 }
 
-// TestSaveLoadRoundTripThroughFacade is the satellite round-trip check:
-// Save a Concurrent-wrapped sketch through the public API, Load it, and
-// require EstimateBatch to answer byte-identically — estimates, partitions,
-// bounds, confidences and stream totals all equal.
+// TestSaveLoadRoundTripThroughFacade: Save an engine, Open a new one from
+// the snapshot, and require QueryBatch to answer byte-identically —
+// estimates, partitions, bounds, confidences and stream totals all equal.
 func TestSaveLoadRoundTripThroughFacade(t *testing.T) {
-	c, edges := buildPopulated(t)
+	eng, edges := buildPopulated(t)
 
 	var buf bytes.Buffer
-	n, err := gsketch.Save(c, &buf)
+	n, err := eng.Save(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +43,11 @@ func TestSaveLoadRoundTripThroughFacade(t *testing.T) {
 		t.Fatalf("Save reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	restored, err := gsketch.Load(bytes.NewReader(buf.Bytes()))
+	restored, err := gsketch.Open(saveTestCfg, gsketch.WithRestore(bytes.NewReader(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
 
 	qs := make([]gsketch.EdgeQuery, 0, 1000)
 	for i := 0; i < 1000; i++ {
@@ -50,18 +56,18 @@ func TestSaveLoadRoundTripThroughFacade(t *testing.T) {
 	// One absent edge so the outlier path round-trips too.
 	qs = append(qs, gsketch.EdgeQuery{Src: 1 << 60, Dst: 2})
 
-	want := gsketch.EstimateBatch(c, qs)
-	got := gsketch.EstimateBatch(gsketch.NewConcurrent(restored), qs)
+	want := eng.QueryBatch(qs)
+	got := restored.QueryBatch(qs)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("query %d: restored %+v != live %+v", i, got[i], want[i])
 		}
 	}
 
-	// A second Save of the restored sketch must reproduce the same bytes —
+	// A second Save of the restored engine must reproduce the same bytes —
 	// the serialization is canonical.
 	var buf2 bytes.Buffer
-	if _, err := gsketch.Save(restored, &buf2); err != nil {
+	if _, err := restored.Save(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -69,22 +75,25 @@ func TestSaveLoadRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
-// TestChainRoundTripThroughFacade drives the adaptive public API: build a
-// chain, repartition mid-stream, save the whole chain, and reload it with
-// identical answers — including loading a plain pre-chain snapshot as a
-// one-generation chain.
+// TestChainRoundTripThroughFacade: a chain repartitioned mid-stream saves
+// whole and reopens as an adaptive engine with identical answers; a plain
+// pre-chain snapshot reopens as a one-generation chain.
 func TestChainRoundTripThroughFacade(t *testing.T) {
 	edges := synthetic(20_000)
-	g, err := gsketch.New(gsketch.Config{TotalBytes: 64 << 10, Seed: 7}, edges[:2000], nil)
+	g, err := core.BuildGSketch(saveTestCfg, edges[:2000], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := gsketch.NewChain(g, gsketch.ChainConfig{SampleSize: 1024, Seed: 3})
-	gsketch.Populate(chain, edges[:10_000])
-	if _, err := gsketch.Repartition(chain, gsketch.Config{TotalBytes: 64 << 10, Seed: 8}, edges[:200]); err != nil {
+	var plain bytes.Buffer
+	if _, err := g.WriteTo(&plain); err != nil {
 		t.Fatal(err)
 	}
-	gsketch.Populate(chain, edges[10_000:])
+	chain := adapt.NewChain(g, gsketch.ChainConfig{SampleSize: 1024, Seed: 3})
+	core.Populate(chain, edges[:10_000])
+	if _, err := adapt.Repartition(chain, gsketch.Config{TotalBytes: 64 << 10, Seed: 8}, edges[:200]); err != nil {
+		t.Fatal(err)
+	}
+	core.Populate(chain, edges[10_000:])
 	if chain.Generations() != 2 {
 		t.Fatalf("generations = %d, want 2", chain.Generations())
 	}
@@ -93,69 +102,78 @@ func TestChainRoundTripThroughFacade(t *testing.T) {
 	if _, err := chain.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := gsketch.LoadChain(bytes.NewReader(buf.Bytes()), chain.Config())
+	restored, err := gsketch.Open(saveTestCfg,
+		gsketch.WithRestore(bytes.NewReader(buf.Bytes())),
+		gsketch.WithAdaptive(chain.Config(), gsketch.AdaptConfig{}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer restored.Close()
+	if restored.Generations() != 2 {
+		t.Fatalf("restored generations = %d, want 2", restored.Generations())
 	}
 	qs := make([]gsketch.EdgeQuery, 0, 500)
 	for i := 0; i < 500; i++ {
 		qs = append(qs, gsketch.EdgeQuery{Src: edges[i].Src, Dst: edges[i].Dst})
 	}
-	want := gsketch.EstimateBatch(chain, qs)
-	got := gsketch.EstimateBatch(restored, qs)
+	want := chain.EstimateBatch(qs)
+	got := restored.QueryBatch(qs)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("query %d: restored %+v != live %+v", i, got[i], want[i])
 		}
 	}
 
-	// A pre-chain snapshot (plain Save) loads as a one-generation chain.
-	var plain bytes.Buffer
-	if _, err := gsketch.Save(g, &plain); err != nil {
-		t.Fatal(err)
-	}
-	single, err := gsketch.LoadChain(bytes.NewReader(plain.Bytes()), gsketch.ChainConfig{})
+	single, err := gsketch.Open(saveTestCfg,
+		gsketch.WithRestore(bytes.NewReader(plain.Bytes())),
+		gsketch.WithAdaptive(gsketch.ChainConfig{}, gsketch.AdaptConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer single.Close()
 	if single.Generations() != 1 {
-		t.Fatalf("pre-chain snapshot loaded as %d generations", single.Generations())
+		t.Fatalf("pre-chain snapshot opened as %d generations", single.Generations())
 	}
 }
 
 // TestSaveRejectsUnserializableEstimator checks the typed failure instead
 // of a garbage write.
 func TestSaveRejectsUnserializableEstimator(t *testing.T) {
-	gl, err := gsketch.NewGlobal(gsketch.Config{TotalWidth: 256, Seed: 1})
+	eng, err := gsketch.Open(gsketch.Config{TotalWidth: 256, Seed: 1}, gsketch.WithGlobal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gsketch.Save(gl, io.Discard); err == nil {
-		t.Fatal("GlobalSketch saved unexpectedly")
-	}
-	if _, err := gsketch.Save(gsketch.NewConcurrent(gl), io.Discard); err == nil {
-		t.Fatal("Concurrent(GlobalSketch) saved unexpectedly")
+	defer eng.Close()
+	if _, err := eng.Save(io.Discard); err == nil {
+		t.Fatal("global baseline saved unexpectedly")
 	}
 }
 
 // TestLoadRejectsCorruptInput drives the error paths of the deserializer:
-// truncations at every prefix length and flipped bytes must fail loudly,
-// never return a silently wrong sketch.
+// truncations at every prefix length and flipped bytes must fail Open
+// loudly, never hand back a silently wrong engine.
 func TestLoadRejectsCorruptInput(t *testing.T) {
-	c, _ := buildPopulated(t)
+	eng, _ := buildPopulated(t)
 	var buf bytes.Buffer
-	if _, err := gsketch.Save(c, &buf); err != nil {
+	if _, err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
+	open := func(b []byte) error {
+		e, err := gsketch.Open(saveTestCfg, gsketch.WithRestore(bytes.NewReader(b)))
+		if err == nil {
+			e.Close()
+		}
+		return err
+	}
 
-	if _, err := gsketch.Load(bytes.NewReader(nil)); err == nil {
+	if err := open(nil); err == nil {
 		t.Fatal("empty input loaded")
 	}
 	// Truncations: sample prefix lengths across the blob (every byte would
 	// be slow at this size).
 	for cut := 1; cut < len(blob); cut += 1 + len(blob)/257 {
-		if _, err := gsketch.Load(bytes.NewReader(blob[:cut])); err == nil {
+		if err := open(blob[:cut]); err == nil {
 			t.Fatalf("truncated input (%d of %d bytes) loaded", cut, len(blob))
 		}
 	}
@@ -163,14 +181,14 @@ func TestLoadRejectsCorruptInput(t *testing.T) {
 	for _, off := range []int{0, 4} {
 		bad := append([]byte(nil), blob...)
 		bad[off] ^= 0xff
-		if _, err := gsketch.Load(bytes.NewReader(bad)); err == nil {
+		if err := open(bad); err == nil {
 			t.Fatalf("corrupt byte at offset %d loaded", off)
 		}
 	}
 	// Counter corruption must be caught by the per-sketch checksum.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)/2] ^= 0xff
-	if _, err := gsketch.Load(bytes.NewReader(bad)); err == nil {
+	if err := open(bad); err == nil {
 		t.Fatal("corrupt counter payload loaded")
 	}
 }
